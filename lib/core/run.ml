@@ -75,31 +75,140 @@ type text_funs = string -> custom_impl option
 (* to comparing the string-value.                                      *)
 (* ------------------------------------------------------------------ *)
 
-let value_matches op value lit =
+(* A value test fed the string-value piece by piece (the texts of a
+   mixed-content node) and compared in place, so no value is ever
+   concatenated or copied.  [contains] runs a Knuth-Morris-Pratt
+   automaton, which finds a literal straddling two texts; [ends-with]
+   keeps the last [m] characters in a ring; the other operators
+   compare against the literal position by position.  One test is
+   allocated per predicate and reused across nodes. *)
+type value_test = {
+  vt_op : Sxsi_xpath.Ast.value_op;
+  vt_lit : string;
+  vt_fail : int array;    (* KMP: longest proper border of lit[0..k] *)
+  vt_ring : Bytes.t;      (* ends-with: the last [m] characters fed *)
+  mutable vt_len : int;   (* characters fed so far *)
+  mutable vt_k : int;     (* contains: length of the matched prefix *)
+  mutable vt_cmp : int;   (* sign of value vs literal over the first
+                             [vt_len] characters; 2 once the value is
+                             longer than an equal literal *)
+  vt_feed : string -> unit;  (* [feed] on this test, built once *)
+}
+
+exception Decided
+
+(* Feed one piece; raises [Decided] once no further piece can change
+   the outcome. *)
+let feed vt s =
   let open Sxsi_xpath.Ast in
-  match op with
-  | Eq -> value = lit
+  let lit = vt.vt_lit in
+  let m = String.length lit and n = String.length s in
+  match vt.vt_op with
   | Contains ->
-    let n = String.length value and m = String.length lit in
-    if m = 0 then true
-    else begin
-      let found = ref false in
-      for i = 0 to n - m do
-        if not !found && String.sub value i m = lit then found := true
+    if m = 0 then raise_notrace Decided;
+    let fail = vt.vt_fail in
+    let k = ref vt.vt_k in
+    for i = 0 to n - 1 do
+      let c = String.unsafe_get s i in
+      while !k > 0 && String.unsafe_get lit !k <> c do
+        k := Array.unsafe_get fail (!k - 1)
       done;
-      !found
-    end
-  | Starts_with ->
-    String.length lit <= String.length value
-    && String.sub value 0 (String.length lit) = lit
+      if String.unsafe_get lit !k = c then begin
+        incr k;
+        if !k = m then begin
+          vt.vt_k <- m;
+          raise_notrace Decided
+        end
+      end
+    done;
+    vt.vt_k <- !k;
+    vt.vt_len <- vt.vt_len + n
   | Ends_with ->
-    String.length lit <= String.length value
-    && String.sub value (String.length value - String.length lit) (String.length lit)
-       = lit
-  | Lt -> value < lit
-  | Le -> value <= lit
-  | Gt -> value > lit
-  | Ge -> value >= lit
+    if m > 0 then
+      for i = 0 to n - 1 do
+        Bytes.unsafe_set vt.vt_ring ((vt.vt_len + i) mod m) (String.unsafe_get s i)
+      done;
+    vt.vt_len <- vt.vt_len + n
+  | Eq | Starts_with | Lt | Le | Gt | Ge ->
+    let base = vt.vt_len in
+    for i = 0 to n - 1 do
+      let pos = base + i in
+      if pos >= m then begin
+        vt.vt_cmp <- 2;
+        raise_notrace Decided
+      end;
+      let c = String.unsafe_get s i and l = String.unsafe_get lit pos in
+      if c <> l then begin
+        vt.vt_cmp <- (if c < l then -1 else 1);
+        raise_notrace Decided
+      end
+    done;
+    vt.vt_len <- base + n
+
+let value_test op lit =
+  let open Sxsi_xpath.Ast in
+  let m = String.length lit in
+  let fail =
+    match op with
+    | Contains when m > 0 ->
+      let f = Array.make m 0 in
+      let k = ref 0 in
+      for i = 1 to m - 1 do
+        while !k > 0 && lit.[!k] <> lit.[i] do
+          k := f.(!k - 1)
+        done;
+        if lit.[!k] = lit.[i] then incr k;
+        f.(i) <- !k
+      done;
+      f
+    | _ -> [||]
+  in
+  let ring = match op with Ends_with -> Bytes.create m | _ -> Bytes.empty in
+  let rec vt =
+    {
+      vt_op = op;
+      vt_lit = lit;
+      vt_fail = fail;
+      vt_ring = ring;
+      vt_len = 0;
+      vt_k = 0;
+      vt_cmp = 0;
+      vt_feed = (fun s -> feed vt s);
+    }
+  in
+  vt
+
+(* the last [m] characters fed equal the literal from position [i] on *)
+let rec ring_matches vt i =
+  let m = String.length vt.vt_lit in
+  i >= m
+  || Bytes.unsafe_get vt.vt_ring ((vt.vt_len + i) mod m) = String.unsafe_get vt.vt_lit i
+     && ring_matches vt (i + 1)
+
+let reset vt =
+  vt.vt_len <- 0;
+  vt.vt_k <- 0;
+  vt.vt_cmp <- 0
+
+(* The test's verdict on everything fed since the last [reset]. *)
+let outcome vt =
+  let open Sxsi_xpath.Ast in
+  let m = String.length vt.vt_lit in
+  let cmp = if vt.vt_cmp <> 0 then vt.vt_cmp else compare vt.vt_len m in
+  match vt.vt_op with
+  | Contains -> m = 0 || vt.vt_k = m
+  | Ends_with -> vt.vt_len >= m && ring_matches vt 0
+  | Starts_with -> vt.vt_cmp = 2 || cmp = 0
+  | Eq -> cmp = 0
+  | Lt -> cmp < 0
+  | Le -> cmp <= 0
+  | Gt -> cmp > 0
+  | Ge -> cmp >= 0
+
+let value_matches op value lit =
+  let vt = value_test op lit in
+  (try feed vt value with Decided -> ());
+  outcome vt
 
 let rec text_set_of_pred doc funs = function
   | Automaton.Text_pred (op, lit) ->
@@ -161,13 +270,26 @@ let make_pred_eval ?sets doc (auto : Automaton.t) funs =
       sets.(i) <- Some s;
       s
   in
+  (* value tests are mutable, so each evaluation context makes its own *)
+  let tests : value_test option array = Array.make n None in
+  let get_test i op lit =
+    match tests.(i) with
+    | Some vt -> vt
+    | None ->
+      let vt = value_test op lit in
+      tests.(i) <- Some vt;
+      vt
+  in
   fun i x ->
     let descr = auto.Automaton.preds.(i) in
     if Document.pcdata_only doc x then begin
       let lo, hi = Document.text_range doc x in
       if hi <= lo then begin
         match descr with
-        | Automaton.Text_pred (op, lit) -> value_matches op "" lit
+        | Automaton.Text_pred (op, lit) ->
+          let vt = get_test i op lit in
+          reset vt;
+          outcome vt
         | Automaton.Custom_pred (name, arg) -> (custom_fn funs name arg).cp_match ""
       end
       else begin
@@ -183,7 +305,10 @@ let make_pred_eval ?sets doc (auto : Automaton.t) funs =
     else begin
       match descr with
       | Automaton.Text_pred (op, lit) ->
-        value_matches op (Document.string_value doc x) lit
+        let vt = get_test i op lit in
+        reset vt;
+        (try Document.iter_string_value doc x vt.vt_feed with Decided -> ());
+        outcome vt
       | Automaton.Custom_pred (name, arg) ->
         (custom_fn funs name arg).cp_match (Document.string_value doc x)
     end
@@ -198,11 +323,33 @@ type analysis = {
   a_q2 : Stateset.t;
 }
 
+(* How [eval] shortcuts a singleton state set instead of simulating
+   the first-child/next-sibling recursion. *)
+type shortcut =
+  | Collect               (* §5.5.3-4: the whole tagged range at once *)
+  | Region of int array   (* a recursive scan over its guard tag (§5.4.1)
+                             or over an optimizer jump set *)
+  | Sibling of int array  (* a child/following-sibling scan over a jump set *)
+
+(* A scanning state's shortcut, decided once per run and shared
+   read-only by every evaluation context.  [sp_down1]/[sp_down2] are
+   the match formula's down1/down2 state sets, hash-consed here so the
+   scan loops never take the [Stateset] table's lock per probe;
+   [sp_slot] numbers the plan for the per-context scoping cache. *)
+type scan_plan = {
+  sp_state : int;
+  sp_info : Automaton.scan_info;
+  sp_kind : shortcut;
+  sp_down1 : Stateset.t;
+  sp_down2 : Stateset.t;
+  sp_slot : int;
+}
+
 (* One domain's evaluation functions, closed over its own stats and
    memo tables. *)
 type 'r context = {
-  c_eval : int -> Stateset.t -> int -> (int * 'r) list;
-  c_scan_chunk : int -> Formula.t -> int -> int array -> int -> int -> 'r;
+  c_eval : int -> Stateset.t -> int -> int -> (int * 'r) list;
+  c_scan_chunk : scan_plan -> int -> int -> int -> int array -> int -> int -> 'r;
 }
 
 (* Positions a non-dropping marking scan will visit in [x, limit): all
@@ -242,6 +389,7 @@ let run ?budget ?pool ?config ?(funs = fun _ -> None) sem (auto : Automaton.t) =
   let doc = auto.Automaton.doc in
   let bp = Document.tree doc in
   let ti = Document.tree doc in
+  let rel = Document.rel doc in
   let tag_count = Document.tag_count doc in
   let pool =
     match pool with Some p when Sxsi_par.Pool.size p > 1 -> Some p | _ -> None
@@ -249,9 +397,9 @@ let run ?budget ?pool ?config ?(funs = fun _ -> None) sem (auto : Automaton.t) =
   (* A merged cursor over the occurrences of a jump set: [next p] is
      the first occurrence >= p of any tag in [tags], or -1.  Per-tag
      candidates are cached and refreshed lazily, so a whole scan costs
-     one [tagged_next] per occurrence consumed plus one per tag —
-     the single-tag jumping of §5.4.1, generalized.  Calls must have
-     non-decreasing [p] (scans only move forward). *)
+     one [tagged_next] per occurrence consumed plus one per tag it
+     holds — the single-tag jumping of §5.4.1, generalized.  Calls must
+     have non-decreasing [p] (scans only move forward). *)
   let frontier tags =
     let n = Array.length tags in
     if n = 1 then begin
@@ -278,6 +426,40 @@ let run ?budget ?pool ?config ?(funs = fun _ -> None) sem (auto : Automaton.t) =
         if !best = max_int then -1 else !best
     end
   in
+  let plans : (int, scan_plan) Hashtbl.t = Hashtbl.create 16 in
+  if config.enable_jump then
+    Hashtbl.iter
+      (fun q si ->
+        let kind =
+          match si with
+          | { Automaton.scan_recursive = true; scan_collect = true; _ } -> Some Collect
+          | { Automaton.scan_guard = Formula.Tag tag; scan_recursive = true; _ } ->
+            Some (Region [| tag |])
+          | _ -> begin
+            (* an optimized automaton: its jump set lists exactly the
+               tags that can fire this state's match, so the scan can
+               be driven by tag jumps even for multi-tag guards ([*],
+               [node()], [@*]) and for sibling (non-recursive) scans *)
+            match Automaton.jump_set auto q with
+            | Some tags when si.Automaton.scan_recursive -> Some (Region tags)
+            | Some tags -> Some (Sibling tags)
+            | None -> None
+          end
+        in
+        match kind with
+        | None -> ()
+        | Some kind ->
+          let mp = si.Automaton.scan_match in
+          Hashtbl.replace plans q
+            {
+              sp_state = q;
+              sp_info = si;
+              sp_kind = kind;
+              sp_down1 = Stateset.of_list mp.Formula.down1;
+              sp_down2 = Stateset.of_list mp.Formula.down2;
+              sp_slot = Hashtbl.length plans;
+            })
+      auto.Automaton.scan;
   (* With a pool, predicate text-sets are computed once up front and
      shared read-only by every evaluation context (the lazy per-context
      initialization would race).  A predicate whose resolution fails
@@ -293,12 +475,13 @@ let run ?budget ?pool ?config ?(funs = fun _ -> None) sem (auto : Automaton.t) =
              | s -> Some s
              | exception _ -> None))
   in
-  (* One evaluation context per domain: the §5.5.2 memo tables and the
-     mutable stats are context-local, and both are semantically
-     transparent (the memo caches pure analyses), so a chunk of a scan
-     evaluated in a fresh context yields exactly the sequential result.
-     [par] is the pool the context may fan out on; chunk contexts get
-     [None], so parallel scans do not nest. *)
+  (* One evaluation context per domain: the §5.5.2 memo tables, the
+     scoped jump sets and the mutable stats are context-local, and all
+     are semantically transparent (the caches hold pure functions of
+     their keys), so a chunk of a scan evaluated in a fresh context
+     yields exactly the sequential result.  [par] is the pool the
+     context may fan out on; chunk contexts get [None], so parallel
+     scans do not nest. *)
   let rec make_context ~par stats =
   let pred_eval = make_pred_eval ?sets:pred_sets doc auto funs in
   (* per-state-set arrays indexed by tag: one pointer chase per visit
@@ -339,6 +522,35 @@ let run ?budget ?pool ?config ?(funs = fun _ -> None) sem (auto : Automaton.t) =
         a
     end
   in
+  (* A plan's jump set restricted, by the §5.5.6 tables, to the tags
+     that can stand in [relation] to a [rtag]-tagged node: a recursive
+     scan over the descendants of [rtag] needs only Desc(rtag), a
+     sibling scan under a [rtag] parent only Child(rtag).  Cached per
+     (plan, tag) in this context; a negative [rtag] (region tag
+     unknown) leaves the set whole. *)
+  let scoped = Array.make (Hashtbl.length plans) [||] in
+  let scope sp relation tags rtag =
+    if rtag < 0 then tags
+    else begin
+      let row =
+        match scoped.(sp.sp_slot) with
+        | [||] ->
+          let row = Array.make tag_count None in
+          scoped.(sp.sp_slot) <- row;
+          row
+        | row -> row
+      in
+      match Array.unsafe_get row rtag with
+      | Some s -> s
+      | None ->
+        let s =
+          Array.of_list
+            (List.filter (Tag_rel.mem rel relation rtag) (Array.to_list tags))
+        in
+        row.(rtag) <- Some s;
+        s
+    end
+  in
   let bottom_cache : (int, (int * 'a) list) Hashtbl.t = Hashtbl.create 16 in
   let bottom qtd =
     match Hashtbl.find_opt bottom_cache qtd.Stateset.id with
@@ -357,46 +569,39 @@ let run ?budget ?pool ?config ?(funs = fun _ -> None) sem (auto : Automaton.t) =
     | Some m -> (true, m)
     | None -> (false, sem.empty)
   in
-  let rec eval x qtd limit =
+  (* The result of a scan that found no match position. *)
+  let no_match sp =
+    if sp.sp_info.Automaton.scan_marking then [ (sp.sp_state, sem.empty) ] else []
+  in
+  (* [eval x qtd limit rt] runs [qtd] over the region [x, limit); [rt]
+     is the tag of a node whose strict descendants cover the region (a
+     first-child call passes the current node's tag, a next-sibling
+     call keeps its caller's), or -1 at the root. *)
+  let rec eval x qtd limit rt =
     if Stateset.is_empty qtd then []
     else if x < 0 || x >= limit then bottom qtd
     else begin
-      let shortcut =
-        if not config.enable_jump then None
-        else
-          match Stateset.singleton qtd with
-          | None -> None
-          | Some q -> begin
-            match Automaton.scan_info auto q with
-            | Some ({ Automaton.scan_recursive = true; scan_collect = true; _ } as si) ->
-              Some (`Collect (q, si))
-            | Some ({ Automaton.scan_guard = Formula.Tag tag; scan_recursive = true; _ } as si) ->
-              Some (`Scan (q, tag, si))
-            | Some si -> begin
-              (* an optimized automaton: its jump set lists exactly the
-                 tags that can fire this state's match, so the scan can
-                 be driven by tag jumps even for multi-tag guards ([*],
-                 [node()], [@*]) and for sibling (non-recursive) scans *)
-              match Automaton.jump_set auto q with
-              | Some tags when si.Automaton.scan_recursive ->
-                Some (`Multi (q, tags, si))
-              | Some tags -> Some (`Sibling (q, tags, si))
-              | None -> None
-            end
-            | None -> None
+      match Stateset.singleton qtd with
+      | None -> visit x qtd limit rt
+      | Some q -> begin
+        match Hashtbl.find_opt plans q with
+        | None -> visit x qtd limit rt
+        | Some sp -> begin
+          match sp.sp_kind with
+          | Collect ->
+            stats.jumps <- stats.jumps + 1;
+            [ (q, sem.range sp.sp_info.Automaton.scan_tags x limit) ]
+          | Region tags -> begin
+            match scope sp Tag_rel.Descendant tags rt with
+            | [||] -> no_match sp
+            | tags ->
+              (* a single tag is its own guard: no tag read per position *)
+              let gtag = if Array.length tags = 1 then tags.(0) else -1 in
+              scan_region sp x limit rt ~gtag ~next:(frontier tags)
           end
-      in
-      match shortcut with
-      | Some (`Collect (q, si)) ->
-        stats.jumps <- stats.jumps + 1;
-        [ (q, sem.range si.Automaton.scan_tags x limit) ]
-      | Some (`Scan (q, tag, si)) ->
-        scan_region q si x limit ~gtag:tag ~next:(fun p ->
-            Tree_backend.tagged_next ti p tag)
-      | Some (`Multi (q, tags, si)) ->
-        scan_region q si x limit ~gtag:(-1) ~next:(frontier tags)
-      | Some (`Sibling (q, tags, si)) -> sib_scan q si tags x limit
-      | None -> visit x qtd limit
+          | Sibling tags -> sib_scan sp tags x limit
+        end
+      end
     end
   (* A single recursive scanning state over the region [x, limit):
      instead of simulating the first-child/next-sibling recursion, jump
@@ -404,9 +609,9 @@ let run ?budget ?pool ?config ?(funs = fun _ -> None) sem (auto : Automaton.t) =
      preorder are exactly the region's matches, so marks concatenate in
      document order; for drop-down1 scans a successful match skips its
      whole subtree, and existence scans stop at the first success. *)
-  and scan_region q si x limit ~gtag ~next =
+  and scan_region sp x limit rt ~gtag ~next =
     stats.jumps <- stats.jumps + 1;
-    let mp = si.Automaton.scan_match in
+    let si = sp.sp_info in
     let parallel =
       (* Only a marking, non-dropping scan visits a match-independent
          position sequence (every tag occurrence in the region, each
@@ -422,7 +627,7 @@ let run ?budget ?pool ?config ?(funs = fun _ -> None) sem (auto : Automaton.t) =
     | Some pl ->
       let ps = scan_positions bcheck next x limit in
       let np = Array.length ps in
-      if np < scan_par_cutoff then [ (q, scan_chunk gtag mp limit ps 0 np) ]
+      if np < scan_par_cutoff then [ (sp.sp_state, scan_chunk sp gtag limit rt ps 0 np) ]
       else begin
         let nchunks = min (4 * Sxsi_par.Pool.size pl) np in
         let ranges =
@@ -433,7 +638,7 @@ let run ?budget ?pool ?config ?(funs = fun _ -> None) sem (auto : Automaton.t) =
             (fun (lo, hi) ->
               let cstats = fresh_stats () in
               let ctx = make_context ~par:None cstats in
-              (ctx.c_scan_chunk gtag mp limit ps lo hi, cstats))
+              (ctx.c_scan_chunk sp gtag limit rt ps lo hi, cstats))
             ranges
         in
         let marks =
@@ -443,7 +648,7 @@ let run ?budget ?pool ?config ?(funs = fun _ -> None) sem (auto : Automaton.t) =
               sem.cat acc m)
             sem.empty results
         in
-        [ (q, marks) ]
+        [ (sp.sp_state, marks) ]
       end
     | None ->
       let rec loop p acc found =
@@ -453,18 +658,7 @@ let run ?budget ?pool ?config ?(funs = fun _ -> None) sem (auto : Automaton.t) =
           bcheck ();
           stats.visited <- stats.visited + 1;
           let tag = if gtag >= 0 then gtag else Tree_backend.tag ti p in
-          let r1 =
-            if mp.Formula.down1 = [] then []
-            else
-              eval (Tree_backend.first_child bp p)
-                (Stateset.of_list mp.Formula.down1)
-                (Tree_backend.close bp p)
-          in
-          let r2 =
-            if mp.Formula.down2 = [] then []
-            else eval (Tree_backend.next_sibling bp p) (Stateset.of_list mp.Formula.down2) limit
-          in
-          let b, m = eval_phi r1 r2 p tag mp in
+          let b, m = eval_match sp p tag limit rt in
           if si.Automaton.scan_marking then begin
             let acc = if b then sem.cat acc m else acc in
             let next = if b && si.Automaton.scan_drop then Tree_backend.close bp p else p + 1 in
@@ -475,8 +669,8 @@ let run ?budget ?pool ?config ?(funs = fun _ -> None) sem (auto : Automaton.t) =
         end
       in
       let marks, found = loop x sem.empty false in
-      if si.Automaton.scan_marking then [ (q, marks) ]
-      else if found then [ (q, sem.empty) ]
+      if si.Automaton.scan_marking then [ (sp.sp_state, marks) ]
+      else if found then [ (sp.sp_state, sem.empty) ]
       else []
   (* A single non-recursive scanning state over the sibling chain
      starting at [x] (the child:: and following-sibling:: steps):
@@ -486,83 +680,77 @@ let run ?budget ?pool ?config ?(funs = fun _ -> None) sem (auto : Automaton.t) =
      subtree, which this scan can never match — resume past that
      subtree.  After a candidate the scan resumes at the next sibling
      (the continuation moves down2 only), so every probe either
-     decides a sibling or discards one whole sibling: never more
-     probes than the sibling walk's visits.  Matches arrive in
-     document order, so marks concatenate exactly as the walk's
-     would; existence scans stop at the first success. *)
-  and sib_scan q si tags x limit =
-    stats.jumps <- stats.jumps + 1;
-    let mp = si.Automaton.scan_match in
+     decides a sibling or discards one whole sibling; on top of those
+     probes the frontier pays one [tagged_next] per tag it holds,
+     which is why the set is first scoped to the tags the parent can
+     have as children.  Matches arrive in document order, so marks
+     concatenate exactly as the walk's would; existence scans stop at
+     the first success. *)
+  and sib_scan sp tags x limit =
+    let si = sp.sp_info in
     let par = Tree_backend.parent bp x in
-    let bound = if par < 0 then limit else min limit (Tree_backend.close bp par) in
-    let next = frontier tags in
-    (* the sibling of the chain whose subtree contains [p] *)
-    let rec anchor p =
-      let pr = Tree_backend.parent bp p in
-      if pr = par then p else anchor pr
-    in
-    let rec loop p acc found =
-      let p = next p in
-      if p < 0 || p >= bound then (acc, found)
-      else begin
-        bcheck ();
-        stats.visited <- stats.visited + 1;
-        if Tree_backend.parent bp p <> par then
-          loop (Tree_backend.close bp (anchor p) + 1) acc found
+    let ptag = if par < 0 then -1 else Tree_backend.tag ti par in
+    match scope sp Tag_rel.Child tags ptag with
+    | [||] -> no_match sp
+    | tags ->
+      stats.jumps <- stats.jumps + 1;
+      let bound = if par < 0 then limit else min limit (Tree_backend.close bp par) in
+      let next = frontier tags in
+      (* the sibling of the chain whose subtree contains [p] *)
+      let rec anchor p =
+        let pr = Tree_backend.parent bp p in
+        if pr = par then p else anchor pr
+      in
+      let rec loop p acc found =
+        let p = next p in
+        if p < 0 || p >= bound then (acc, found)
         else begin
-          let tag = Tree_backend.tag ti p in
-          let r1 =
-            if mp.Formula.down1 = [] then []
-            else
-              eval (Tree_backend.first_child bp p)
-                (Stateset.of_list mp.Formula.down1)
-                (Tree_backend.close bp p)
-          in
-          let r2 =
-            if mp.Formula.down2 = [] then []
-            else
-              eval (Tree_backend.next_sibling bp p)
-                (Stateset.of_list mp.Formula.down2)
-                limit
-          in
-          let b, m = eval_phi r1 r2 p tag mp in
-          let after = Tree_backend.close bp p + 1 in
-          if si.Automaton.scan_marking then
-            loop after (if b then sem.cat acc m else acc) true
-          else if b then (acc, true)
-          else loop after acc found
+          bcheck ();
+          stats.visited <- stats.visited + 1;
+          if Tree_backend.parent bp p <> par then
+            loop (Tree_backend.close bp (anchor p) + 1) acc found
+          else begin
+            let b, m = eval_match sp p (Tree_backend.tag ti p) limit ptag in
+            let after = Tree_backend.close bp p + 1 in
+            if si.Automaton.scan_marking then
+              loop after (if b then sem.cat acc m else acc) true
+            else if b then (acc, true)
+            else loop after acc found
+          end
         end
-      end
+      in
+      let marks, found = loop x sem.empty false in
+      if si.Automaton.scan_marking then [ (sp.sp_state, marks) ]
+      else if found then [ (sp.sp_state, sem.empty) ]
+      else []
+  (* A scan's match formula at position [p] (tag [tag]) of a region
+     ending at [limit] with region tag [rt]. *)
+  and eval_match sp p tag limit rt =
+    let r1 =
+      if Stateset.is_empty sp.sp_down1 then []
+      else eval (Tree_backend.first_child bp p) sp.sp_down1 (Tree_backend.close bp p) tag
     in
-    let marks, found = loop x sem.empty false in
-    if si.Automaton.scan_marking then [ (q, marks) ]
-    else if found then [ (q, sem.empty) ]
-    else []
+    let r2 =
+      if Stateset.is_empty sp.sp_down2 then []
+      else eval (Tree_backend.next_sibling bp p) sp.sp_down2 limit rt
+    in
+    eval_phi r1 r2 p tag sp.sp_info.Automaton.scan_match
   (* One chunk of a parallel scan: evaluate the positions [lo, hi) of
      [ps] in this context and concatenate their marks in order.
      [gtag] is the scan's single guard tag, or negative when the guard
      is multi-tag (the tag is then read per position). *)
-  and scan_chunk gtag mp limit ps lo hi =
+  and scan_chunk sp gtag limit rt ps lo hi =
     let acc = ref sem.empty in
     for k = lo to hi - 1 do
       bcheck ();
       let p = ps.(k) in
       stats.visited <- stats.visited + 1;
       let tag = if gtag >= 0 then gtag else Tree_backend.tag ti p in
-      let r1 =
-        if mp.Formula.down1 = [] then []
-        else
-          eval (Tree_backend.first_child bp p) (Stateset.of_list mp.Formula.down1) (Tree_backend.close bp p)
-      in
-      let r2 =
-        if mp.Formula.down2 = [] then []
-        else eval (Tree_backend.next_sibling bp p) (Stateset.of_list mp.Formula.down2) limit
-      in
-      let b, m = eval_phi r1 r2 p tag mp in
+      let b, m = eval_match sp p tag limit rt in
       if b then acc := sem.cat !acc m
     done;
     !acc
-  and visit x qtd limit =
+  and visit x qtd limit rt =
     bcheck ();
     stats.visited <- stats.visited + 1;
     let tag = Tree_backend.tag ti x in
@@ -571,7 +759,7 @@ let run ?budget ?pool ?config ?(funs = fun _ -> None) sem (auto : Automaton.t) =
     else begin
       let r1 =
         if Stateset.is_empty an.a_q1 then []
-        else eval (Tree_backend.first_child bp x) an.a_q1 (Tree_backend.close bp x)
+        else eval (Tree_backend.first_child bp x) an.a_q1 (Tree_backend.close bp x) tag
       in
       if Stateset.is_empty an.a_q2 then
         Array.to_list an.a_phis
@@ -579,7 +767,7 @@ let run ?budget ?pool ?config ?(funs = fun _ -> None) sem (auto : Automaton.t) =
                let b, m = eval_phi r1 [] x tag phi in
                if b then Some (q, m) else None)
       else if not config.enable_early then begin
-        let r2 = eval (Tree_backend.next_sibling bp x) an.a_q2 limit in
+        let r2 = eval (Tree_backend.next_sibling bp x) an.a_q2 limit rt in
         Array.to_list an.a_phis
         |> List.filter_map (fun (q, phi) ->
                let b, m = eval_phi r1 r2 x tag phi in
@@ -594,14 +782,21 @@ let run ?budget ?pool ?config ?(funs = fun _ -> None) sem (auto : Automaton.t) =
         let partial =
           Array.map (fun (q, phi) -> (q, phi, eval3 r1 x tag phi)) an.a_phis
         in
-        let q2 =
+        let q2, undecided =
           Array.fold_left
-            (fun acc (_, phi, v) ->
-              match v with `Unknown -> phi.Formula.down2 @ acc | `True | `False -> acc)
-            [] partial
+            (fun (acc, n) (_, phi, v) ->
+              match v with
+              | `Unknown -> (phi.Formula.down2 @ acc, n + 1)
+              | `True | `False -> (acc, n))
+            ([], 0) partial
         in
+        (* with every formula undecided the set is the memoized a_q2,
+           which saves a trip through the state-set table's lock *)
         let r2 =
-          if q2 = [] then [] else eval (Tree_backend.next_sibling bp x) (Stateset.of_list q2) limit
+          if q2 = [] then []
+          else if undecided = Array.length partial then
+            eval (Tree_backend.next_sibling bp x) an.a_q2 limit rt
+          else eval (Tree_backend.next_sibling bp x) (Stateset.of_list q2) limit rt
         in
         Array.to_list partial
         |> List.filter_map (fun (q, phi, v) ->
@@ -681,7 +876,7 @@ let run ?budget ?pool ?config ?(funs = fun _ -> None) sem (auto : Automaton.t) =
   let res =
     ctx.c_eval (Document.root doc)
       (Stateset.of_list [ auto.Automaton.start ])
-      (Tree_backend.length bp)
+      (Tree_backend.length bp) (-1)
   in
   match List.assoc_opt auto.Automaton.start res with
   | Some m -> m

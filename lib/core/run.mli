@@ -17,8 +17,15 @@
       node-by-node walk, and a non-recursive ([child::] /
       [following-sibling::]) scan probes exactly the sibling positions
       carrying a jump-set tag, skipping whole subtrees between them.
-      Unoptimized automata carry no jump sets, so they take exactly
-      the seed engine's paths;
+      Each scan first narrows its tag set with the §5.5.6
+      relative-tag tables: a sibling scan to the tags its parent can
+      have as children, a recursive scan (the single-tag §5.4.1 scans
+      included) to the tags that can occur below its region's root.
+      An empty narrowed set answers without a probe.  Unoptimized
+      automata carry no jump sets, so apart from that narrowing they
+      take the seed engine's paths;
+    - string-value predicates on mixed-content nodes compared in place
+      as the node's texts stream past, never concatenated;
     - left-biased disjunctions, so every answer is marked exactly once
       and counters/concatenation are sound.
 
@@ -87,7 +94,7 @@ type text_funs = string -> custom_impl option
     ["name"]. *)
 
 val value_matches : Sxsi_xpath.Ast.value_op -> string -> string -> bool
-(** [value_matches op value literal]. *)
+(** [value_matches op value literal], compared in place. *)
 
 val text_set_of_pred :
   Sxsi_xml.Document.t -> text_funs -> Sxsi_auto.Automaton.pred_descr -> int array

@@ -11,8 +11,7 @@ let counter = ref 0
 let lock = Mutex.create ()
 let lock_site = Sxsi_obs.Contend.site "stateset.cons"
 
-let of_list l =
-  let key = List.sort_uniq compare l in
+let cons key =
   Sxsi_obs.Contend.with_lock lock_site lock (fun () ->
       match Hashtbl.find_opt table key with
       | Some s -> s
@@ -22,7 +21,11 @@ let of_list l =
         Hashtbl.add table key s;
         s)
 
-let empty = of_list []
+let empty = cons []
+
+(* the empty set is the common case and needs no lock *)
+let of_list = function [] -> empty | l -> cons (List.sort_uniq compare l)
+
 let is_empty s = Array.length s.states = 0
 
 let mem s q =

@@ -61,31 +61,34 @@ let get_text t i =
 
 let global_count t p = if t.d = 0 then 0 else Fm_index.count t.fm p
 
-(* Horspool substring search over one text; calls [f] at each match
-   start and can stop after the first via exception. *)
+(* Horspool substring search over one text; [occurs_in p] builds the
+   shift table once and returns the test.  It can stop after the first
+   match via exception. *)
 exception Found
 
-let occurs_in text p =
-  let n = String.length text and m = String.length p in
-  if m = 0 || m > n then false
-  else begin
-    let shift = Array.make 256 m in
-    for i = 0 to m - 2 do
-      shift.(Char.code p.[i]) <- m - 1 - i
-    done;
-    let i = ref 0 in
-    try
-      while !i <= n - m do
-        let j = ref (m - 1) in
-        while !j >= 0 && text.[!i + !j] = p.[!j] do
-          decr j
+let occurs_in p =
+  let m = String.length p in
+  let shift = Array.make 256 m in
+  for i = 0 to m - 2 do
+    shift.(Char.code p.[i]) <- m - 1 - i
+  done;
+  fun text ->
+    let n = String.length text in
+    if m = 0 || m > n then false
+    else begin
+      let i = ref 0 in
+      try
+        while !i <= n - m do
+          let j = ref (m - 1) in
+          while !j >= 0 && text.[!i + !j] = p.[!j] do
+            decr j
+          done;
+          if !j < 0 then raise Found;
+          i := !i + shift.(Char.code text.[!i + m - 1])
         done;
-        if !j < 0 then raise Found;
-        i := !i + shift.(Char.code text.[!i + m - 1])
-      done;
-      false
-    with Found -> true
-  end
+        false
+      with Found -> true
+    end
 
 let sorted_unique l = List.sort_uniq compare l
 
@@ -104,9 +107,10 @@ let contains_fm t p =
   sorted_unique !ids
 
 let contains_plain t p =
+  let occurs = occurs_in p in
   let ids = ref [] in
   for i = t.d - 1 downto 0 do
-    if occurs_in (get_text t i) p then ids := i :: !ids
+    if occurs (get_text t i) then ids := i :: !ids
   done;
   !ids
 

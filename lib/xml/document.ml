@@ -412,9 +412,9 @@ let text_range t x =
 
 let get_text t d = Text_collection.get_text t.text d
 
-let string_value t x =
+let iter_string_value t x f =
   let lo, hi = text_range t x in
-  if hi - lo = 1 && is_text_leaf t x then get_text t lo
+  if hi - lo = 1 && is_text_leaf t x then f (get_text t lo)
   else begin
     (* Attribute values contribute only when the context node is itself
        in the attribute encoding ([@], attribute name, or [%]). *)
@@ -422,13 +422,15 @@ let string_value t x =
     let in_attributes =
       t.attr_tag.(xtag) || xtag = attval_tag || xtag = attlist_tag
     in
-    let buf = Buffer.create 32 in
     for d = lo to hi - 1 do
-      if in_attributes || tag_of t (leaf_of_text t d) <> attval_tag then
-        Buffer.add_string buf (get_text t d)
-    done;
-    Buffer.contents buf
+      if in_attributes || tag_of t (leaf_of_text t d) <> attval_tag then f (get_text t d)
+    done
   end
+
+let string_value t x =
+  let buf = Buffer.create 32 in
+  iter_string_value t x (Buffer.add_string buf);
+  Buffer.contents buf
 
 let pcdata_only t x =
   if is_text_leaf t x then true

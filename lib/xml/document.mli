@@ -152,6 +152,11 @@ val get_text : t -> int -> string
 val string_value : t -> node -> string
 (** XPath string-value: concatenation of all texts in the subtree. *)
 
+val iter_string_value : t -> node -> (string -> unit) -> unit
+(** [iter_string_value t x f] calls [f] on each text of [string_value t x],
+    in document order, without concatenating them.  [f] may raise to
+    stop early. *)
+
 val pcdata_only : t -> node -> bool
 (** True when the subtree contains at most one text and no element
     children other than the texts — i.e. a text predicate on this node

@@ -273,6 +273,149 @@ let test_serialize_results () =
     (Buffer.contents buf)
 
 (* ------------------------------------------------------------------ *)
+(* String-value predicates on mixed content and the Medline battery     *)
+(* ------------------------------------------------------------------ *)
+
+(* Engine ids vs oracle ids on both tree backends, for the raw and the
+   optimized automaton, run top-down and with the automatic strategy. *)
+let check_backends xml queries =
+  let dom = Dom.of_xml xml in
+  List.iter
+    (fun backend ->
+      let doc = Document.of_xml ~backend xml in
+      List.iter
+        (fun q ->
+          let expected = Naive_eval.eval_ids dom (parse q) in
+          List.iter
+            (fun optimize ->
+              let c = Engine.prepare ~optimize doc q in
+              let label strategy =
+                Printf.sprintf "%s (%s, %s, %s)" q
+                  (match backend with `Bp -> "bp" | `Grammar -> "grammar")
+                  (if optimize then "optimized" else "raw")
+                  strategy
+              in
+              Alcotest.(check (list int)) (label "top-down") expected
+                (Array.to_list (Engine.select_preorders ~strategy:Engine.Top_down c));
+              Alcotest.(check (list int)) (label "auto") expected
+                (Array.to_list (Engine.select_preorders c));
+              Alcotest.(check int) (label "count") (List.length expected)
+                (Engine.count ~strategy:Engine.Top_down c))
+            [ false; true ])
+        queries)
+    [ `Bp; `Grammar ]
+
+(* Values that span several texts: an attribute inside a mixed element
+   (which must not count toward the element's string-value), literals
+   straddling text boundaries, literals longer than the value, and the
+   empty literal. *)
+let straddle_xml =
+  "<r><m>ab<x k=\"1999\">cd</x>ef</m><m>19<x>99</x></m><m a=\"z\">19</m>\
+   <e/><e></e><m>abc<x/>def</m></r>"
+
+let straddle_queries =
+  [
+    "//m[contains(., '1999')]";
+    "//*[contains(., '1999')]";
+    "//*/*[contains(., '1999')]";
+    "//x[contains(., '1999')]";
+    "//@k[contains(., '1999')]";
+    "//m[contains(., 'bcde')]";
+    "//m[contains(., 'abcdef')]";
+    "//m[contains(., 'cdef')]";
+    "//m[contains(., 'abcdefg')]";
+    "//x[contains(., 'cdefgh')]";
+    "//m[starts-with(., 'abc')]";
+    "//m[starts-with(., 'abcdefX')]";
+    "//m[starts-with(., 'aba')]";
+    "//m[ends-with(., 'def')]";
+    "//m[ends-with(., 'Xabcdef')]";
+    "//m[ends-with(., '9')]";
+    "//m[. = 'abcdef']";
+    "//m[. = '1999']";
+    "//m[. = 'abcde']";
+    "//m[. > 'abcdef']";
+    "//m[. >= 'abcdef']";
+    "//e[contains(., 'a')]";
+    "//*[not(contains(., 'z'))]";
+  ]
+
+(* Predicates the empty value satisfies.  A forced bottom-up run starts
+   from the matching texts, so it cannot find a node that has none;
+   these stay out of [check_query]; the automatic strategy never runs
+   them bottom-up. *)
+let empty_value_queries =
+  [
+    "//m[. < 'aba']";
+    "//m[. < 'abd']";
+    "//m[. <= '1999']";
+    "//*[contains(., '')]";
+    "//*[starts-with(., '')]";
+    "//*[ends-with(., '')]";
+    "//e[. = '']";
+  ]
+
+let test_straddle_values () =
+  List.iter (check_query straddle_xml) straddle_queries;
+  check_backends straddle_xml (straddle_queries @ empty_value_queries)
+
+(* The paper's Medline battery (Figs. 14/15). *)
+let medline_battery =
+  [
+    "//Article[.//AbstractText[contains(., \"foot\") or contains(., \"feet\")]]";
+    "//Article[.//AbstractText[contains(., \"plus\")]]";
+    "//Article[.//AbstractText[contains(., \"plus\") or contains(., \"for\")]]";
+    "//Article[.//AbstractText[contains(., \"plus\") and not(contains(., \"for\"))]]";
+    "//MedlineCitation/Article/AuthorList/Author[./LastName[starts-with(., \"Bar\")]]";
+    "//*[.//LastName[contains(., \"Nguyen\")]]";
+    "//*//AbstractText[contains(., \"epididymis\")]";
+    "//*[.//PublicationType[ends-with(., \"Article\")]]";
+    "//MedlineCitation[.//Country[contains(., \"AUSTRALIA\")]]";
+    "//MedlineCitation[contains(., \"blood cell\")]";
+    "//*/*[contains(., \"1999\")]";
+  ]
+
+let medline_xml = lazy (Sxsi_datagen.Medline.generate ~citations:200 ())
+
+let test_medline_battery () = check_backends (Lazy.force medline_xml) medline_battery
+
+(* Structural bounds on M11 that need no timing.  Each sibling scan's
+   frontier holds only the tags its parent can have as children, so
+   [Tag_index] jumps stay within a small factor of the nodes the run
+   visits; and the scan loops take the state-set table's lock once per
+   scanning state, not once per probe. *)
+let test_m11_structure () =
+  let doc = Document.of_xml (Lazy.force medline_xml) in
+  let c = Engine.prepare ~optimize:true doc "//*/*[contains(., \"1999\")]" in
+  Engine.precompile c;
+  let tr = Sxsi_obs.Trace.create ~label:"M11" () in
+  ignore (Engine.count ~trace:tr ~strategy:Engine.Top_down c);
+  let counter name = List.assoc name (Sxsi_obs.Trace.counters tr) in
+  let visited = counter "visited" and jumps = counter "tag_jumps" in
+  if visited = 0 || jumps > 2 * visited then
+    Alcotest.failf "tag_jumps %d vs visited %d: more than 2x" jumps visited;
+  let module C = Sxsi_obs.Contend in
+  let acquires () =
+    List.fold_left
+      (fun acc (name, n, _, _) -> if name = "stateset.cons" then n else acc)
+      0 (C.stats ())
+  in
+  let was = C.enabled () in
+  C.set_enabled true;
+  let before = acquires () in
+  let n =
+    Fun.protect
+      ~finally:(fun () -> C.set_enabled was)
+      (fun () -> Engine.count ~strategy:Engine.Top_down c)
+  in
+  let taken = acquires () - before in
+  let states = List.length (Engine.automaton c).Sxsi_auto.Automaton.states in
+  Alcotest.(check bool) "has results" true (n > 0);
+  if taken > states then
+    Alcotest.failf "stateset.cons taken %d times for %d states (visited %d)" taken states
+      visited
+
+(* ------------------------------------------------------------------ *)
 (* Random documents x random queries vs the oracle                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -332,13 +475,15 @@ let gen_query : string QCheck2.Gen.t =
         (2, map (fun t -> ".//" ^ t) test);
         ( 2,
           let* t = oneofl [ "."; "a"; "b" ] in
-          let* lit = oneofl [ "x"; "y"; "xyz"; "" ] in
+          (* "yx" and "zzx" only occur across two texts *)
+          let* lit = oneofl [ "x"; "y"; "xyz"; ""; "yx"; "zzx" ] in
           let* f = oneofl [ "contains"; "starts-with"; "ends-with" ] in
           return (Printf.sprintf "%s(%s, \"%s\")" f t lit) );
         ( 1,
           let* t = oneofl [ "."; "a" ] in
-          let* lit = oneofl [ "x"; "xyz" ] in
-          return (Printf.sprintf "%s = \"%s\"" t lit) );
+          let* op = oneofl [ "="; "<"; ">=" ] in
+          let* lit = oneofl [ "x"; "xyz"; "yyx" ] in
+          return (Printf.sprintf "%s %s \"%s\"" t op lit) );
         (1, return "@k");
         (1, return "@k = \"u\"");
         (1, map (fun t -> Printf.sprintf "not(%s)" t) test);
@@ -410,5 +555,8 @@ let suite =
         Alcotest.test_case "memoization hits" `Quick test_memo_hits;
         Alcotest.test_case "serialize results" `Quick test_serialize_results;
         Alcotest.test_case "union queries" `Quick test_union_queries;
+        Alcotest.test_case "mixed-content string values" `Quick test_straddle_values;
+        Alcotest.test_case "medline battery" `Quick test_medline_battery;
+        Alcotest.test_case "M11 jumps and locks" `Quick test_m11_structure;
         prop_engine_vs_oracle;
       ] )
