@@ -27,9 +27,10 @@ trap '[ -n "$server_pid" ] && kill "$server_pid" 2>/dev/null; rm -rf "$workdir"'
 printf '<site><item><v>1</v></item><item><v>2</v></item><item><v>3</v></item></site>\n' \
   > "$workdir/doc.xml"
 
-# 4 evaluation domains so the pool's task/park spans land in the
-# journal; the 5ms injected delay guarantees every query crosses the
-# 1ms slow threshold without a deadline in the way.
+# 4 build domains: the preloaded document's index build fans out on
+# the pool, so the pool's task/park spans land in the journal; the 5ms
+# injected delay guarantees every query crosses the 1ms slow threshold
+# without a deadline in the way.
 SXSI_DOMAINS=4 SXSI_FAILPOINTS="engine.eval=delay:5" \
   "$SXSI" serve -p 0 --workers 2 \
   --flight-recorder --slow-ms 1 --slow-log "$workdir/slow.jsonl" \

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Profiler smoke test against a live server.
 #
-# Starts `sxsi serve` with a multi-domain evaluation pool, hammers it
+# Starts `sxsi serve` with a multi-domain build pool, hammers it
 # with COUNT/QUERY load from a background client, and attaches
 # `sxsi profile` for a 1-second window.  Asserts:
 #   - the folded (collapsed-stack) output is non-empty and well-formed

@@ -89,7 +89,8 @@ let pp_bytes b =
 (* Machine-readable output: with --json, every section accumulates its
    printed tables plus any structured measurements and lands in
    BENCH_<section>.json next to the human-readable stdout.  The files
-   carry no timestamps or host names so consecutive runs diff cleanly. *)
+   carry no timestamps, so consecutive runs on one host diff cleanly;
+   a [host] object records what the numbers were taken on. *)
 
 module J = Sxsi_obs.Json
 
@@ -102,6 +103,36 @@ type json_acc = {
 }
 
 let json_acc : json_acc option ref = ref None
+
+(* First line of a shell command's output, if it succeeds. *)
+let command_line cmd =
+  match Unix.open_process_in (cmd ^ " 2>/dev/null") with
+  | exception Unix.Unix_error _ -> None
+  | ic ->
+    let line = try Some (String.trim (input_line ic)) with End_of_file -> None in
+    (match Unix.close_process_in ic with
+    | Unix.WEXITED 0 -> line
+    | _ -> None)
+
+(* Online cores, the OCaml runtime's recommended domain count, the
+   compiler version and the git revision ("-dirty" when the working
+   tree has uncommitted changes): what a reader needs before comparing
+   two files. *)
+let host =
+  lazy
+    (J.Obj
+       [
+         ( "cores",
+           match Option.bind (command_line "nproc") int_of_string_opt with
+           | Some n -> J.Int n
+           | None -> J.Null );
+         ("recommended_domain_count", J.Int (Domain.recommended_domain_count ()));
+         ("ocaml_version", J.String Sys.ocaml_version);
+         ( "git_revision",
+           match command_line "git describe --always --dirty --abbrev=40" with
+           | Some r -> J.String r
+           | None -> J.Null );
+       ])
 
 (* --profile: sample every section with the profiler and append a
    [profile] object (unattributed share, top self-time stacks) to its
@@ -173,6 +204,7 @@ let json_finish ~scale () =
            ("section", J.String acc.key);
            ("runs", J.Int !runs);
            ("scale", J.Float scale);
+           ("host", Lazy.force host);
            ("tables", J.List (List.rev acc.tables));
            ("measurements", J.List (List.rev acc.measurements));
          ]

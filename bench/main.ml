@@ -705,95 +705,80 @@ let service () =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* Parallel substrate: build time and query throughput vs pool size     *)
+(* Parallel substrate: index build time vs pool size                    *)
 (* ------------------------------------------------------------------ *)
 
+(* Queries evaluate on one domain, so the pool's only in-process use
+   is index construction: time the build at each pool size and report
+   how busy each worker was while it ran. *)
 let par () =
-  H.section "Parallel substrate: index build and query throughput vs domain count";
+  H.section "Parallel substrate: index build time vs domain count";
   let c = Lazy.force xmark_small in
   let xml = c.xml in
-  Printf.printf "corpus %s: %s source, %d queries, window 0.5s per throughput cell\n"
-    c.name (H.pp_bytes (String.length xml)) (List.length xmark_queries);
+  Printf.printf "corpus %s: %s source\n" c.name (H.pp_bytes (String.length xml));
   let with_pool d f =
     if d <= 1 then f None
     else Sxsi_par.Pool.with_pool ~name:"bench" ~domains:d (fun p -> f (Some p))
   in
   let seq_build = ref 0.0 in
-  let seq_qps = ref 0.0 in
   let rows =
     List.map
       (fun d ->
         with_pool d @@ fun pool ->
-        let doc, t_build =
-          H.time_with_result (fun () -> Document.build ?pool xml)
-        in
-        let compiled =
-          Array.of_list (List.map (fun (_, q) -> Engine.prepare doc q) xmark_queries)
-        in
-        Array.iter (fun cq -> Engine.precompile cq) compiled;
-        let m = Array.length compiled in
-        let cursor = ref 0 in
-        (* baseline the per-worker counters so the utilization numbers
-           cover just the timed window, not the build *)
         let stats0 =
           match pool with Some p -> Sxsi_par.Pool.worker_stats p | None -> []
         in
-        let t_q0 = Unix.gettimeofday () in
-        let qps =
-          H.throughput (fun () ->
-              let j = !cursor in
-              cursor := j + 1;
-              Engine.count ?pool compiled.(j mod m))
-        in
-        let window_ns = (Unix.gettimeofday () -. t_q0) *. 1e9 in
-        if d = 1 then begin
-          seq_build := t_build;
-          seq_qps := qps
-        end;
+        let t0 = Unix.gettimeofday () in
+        let _doc, t_build = H.time_with_result (fun () -> Document.build ?pool xml) in
+        let window_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
+        if d = 1 then seq_build := t_build;
         let workers =
           match pool with
           | None -> []
           | Some p ->
             List.map2
               (fun (slot, busy, steals, parks) (_, busy0, steals0, parks0) ->
-                J.Obj
-                  [
-                    ("slot", J.Int slot);
-                    ("busy_ns", J.Int (busy - busy0));
-                    ( "utilization",
-                      J.Float (float_of_int (busy - busy0) /. window_ns) );
-                    ("steals", J.Int (steals - steals0));
-                    ("parks", J.Int (parks - parks0));
-                  ])
+                (slot, float_of_int (busy - busy0) /. window_ns, steals - steals0,
+                 parks - parks0))
               (Sxsi_par.Pool.worker_stats p) stats0
         in
+        let mean_util =
+          match workers with
+          | [] -> None
+          | ws ->
+            Some
+              (List.fold_left (fun acc (_, u, _, _) -> acc +. u) 0.0 ws
+              /. float_of_int (List.length ws))
+        in
         H.measure
-          ([
-             ("domains", J.Int d);
-             ("build_s", J.Float t_build);
-             ("build_speedup", J.Float (!seq_build /. t_build));
-             ("count_qps", J.Float qps);
-             ("query_speedup", J.Float (qps /. !seq_qps));
-           ]
-          @
-          match pool with
-          | None -> []
-          | Some p ->
-            [
-              ("workers", J.List workers);
-              ("steal_failures", J.Int (Sxsi_par.Pool.steal_failures_total p));
-              ("cas_retries", J.Int (Sxsi_par.Pool.cas_retries_total p));
-            ]);
+          [
+            ("domains", J.Int d);
+            ("build_s", J.Float t_build);
+            ("build_speedup", J.Float (!seq_build /. t_build));
+            ( "workers",
+              J.List
+                (List.map
+                   (fun (slot, u, steals, parks) ->
+                     J.Obj
+                       [
+                         ("slot", J.Int slot);
+                         ("utilization", J.Float u);
+                         ("steals", J.Int steals);
+                         ("parks", J.Int parks);
+                       ])
+                   workers) );
+          ];
         [
           string_of_int d;
           H.pp_ms t_build;
           Printf.sprintf "%.2fx" (!seq_build /. t_build);
-          H.pp_rate qps;
-          Printf.sprintf "%.2fx" (qps /. !seq_qps);
+          (match mean_util with
+          | Some u -> Printf.sprintf "%.0f%%" (100.0 *. u)
+          | None -> "-");
         ])
       [ 1; 2; 4 ]
   in
-  H.table [ "domains"; "build"; "build speedup"; "count"; "count speedup" ] rows
+  H.table [ "domains"; "build"; "build speedup"; "mean worker utilization" ] rows
 
 (* ------------------------------------------------------------------ *)
 (* Tree backends: Bp vs grammar-compressed, space and query throughput  *)

@@ -108,9 +108,9 @@ let or_budget_exceeded f =
 
 let domains_arg =
   Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N"
-         ~doc:"Domain-pool size for index construction and query evaluation \
-               (default: the $(b,SXSI_DOMAINS) environment variable, else 1; \
-               1 means sequential)")
+         ~doc:"Domain-pool size for index construction (default: the \
+               $(b,SXSI_DOMAINS) environment variable, else 1; 1 means sequential).  \
+               Queries always evaluate on a single domain")
 
 let backend_arg =
   let backend_conv = Arg.enum [ ("bp", `Bp); ("grammar", `Grammar) ] in
@@ -144,17 +144,15 @@ let with_engine file query drop_whitespace no_jump no_memo optimize strategy sta
       let stats = Run.fresh_stats () in
       let config = { (Run.default_config ()) with Run.enable_jump = not no_jump; enable_memo = not no_memo; stats } in
       let t0 = Unix.gettimeofday () in
-      k ?pool doc compiled config strategy trace;
+      k doc compiled config strategy trace;
       let dt = Unix.gettimeofday () -. t0 in
       if stats_flag then begin
         Printf.eprintf
-          "time: %.3fms  strategy: %s  domains: %d  visited: %d  marked: %d  jumps: %d  \
-           memo hits: %d\n"
+          "time: %.3fms  strategy: %s  visited: %d  marked: %d  jumps: %d  memo hits: %d\n"
           (dt *. 1000.0)
           (match Engine.chosen_strategy ~strategy compiled with
           | `Top_down -> "top-down"
           | `Bottom_up -> "bottom-up")
-          (match pool with Some p -> Sxsi_par.Pool.size p | None -> 1)
           stats.Run.visited stats.Run.marked stats.Run.jumps stats.Run.memo_hits;
         match Sxsi_auto.Optimize.stats (Engine.automaton compiled) with
         | Some o ->
@@ -179,10 +177,10 @@ let count_cmd =
   let run file query dw nj nm opt strategy st tf dom bk timeout maxr prof =
     with_profile prof (fun () ->
         with_engine file query dw nj nm opt strategy st tf dom bk
-          (fun ?pool _doc c config strategy trace ->
+          (fun _doc c config strategy trace ->
             or_budget_exceeded (fun () ->
                 let budget = cli_budget ~timeout_ms:timeout ~max_results:maxr in
-                Printf.printf "%d\n" (Engine.count ?budget ?pool ~config ~strategy ?trace c))))
+                Printf.printf "%d\n" (Engine.count ?budget ~config ~strategy ?trace c))))
   in
   Cmd.v
     (Cmd.info "count" ~doc:"Count the nodes selected by a query")
@@ -197,10 +195,10 @@ let select_cmd =
   let run file query dw nj nm opt strategy st tf dom bk timeout maxr ids prof =
     with_profile prof (fun () ->
         with_engine file query dw nj nm opt strategy st tf dom bk
-          (fun ?pool doc c config strategy trace ->
+          (fun doc c config strategy trace ->
             or_budget_exceeded (fun () ->
                 let budget = cli_budget ~timeout_ms:timeout ~max_results:maxr in
-                let nodes = Engine.select ?budget ?pool ~config ~strategy ?trace c in
+                let nodes = Engine.select ?budget ~config ~strategy ?trace c in
                 if ids then
                   Array.iter (fun x -> Printf.printf "%d\n" (Document.preorder doc x)) nodes
                 else

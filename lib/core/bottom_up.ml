@@ -112,10 +112,6 @@ let test_ok doc (step : step) x =
       || tg = Document.text_tag || tg = Document.root_tag
   end
 
-(* Minimum matching texts before the candidate verification is chunked
-   across a pool. *)
-let par_cutoff = 64
-
 (* Whole-query static feasibility, the bottom-up counterpart of the
    optimizer's jump sets: the §5.5.6 relative-tag tables already know
    which tags ever occur below which.  A chain with an impossible
@@ -141,7 +137,7 @@ let chain_feasible doc p =
   done;
   !ok
 
-let run_with_text_time ?budget ?pool ?(funs = fun _ -> None) doc p =
+let run_with_text_time ?budget ?(funs = fun _ -> None) doc p =
   if not (chain_feasible doc p) then (0.0, [])
   else begin
   let bp = Document.tree doc in
@@ -159,11 +155,6 @@ let run_with_text_time ?budget ?pool ?(funs = fun _ -> None) doc p =
   let t0 = Unix.gettimeofday () in
   let texts = Run.text_set_of_pred doc funs p.pred in
   let text_time = Unix.gettimeofday () -. t0 in
-  (* Verify the candidates of texts [lo, hi).  The upward-verification
-     memo is shared within a slice only; it caches a pure relation, so
-     chunked evaluation returns the same candidate set (the final
-     [sort_uniq] erases chunk order and duplicates). *)
-  let eval_slice lo hi =
   (* upward verification, shared across candidates: can [x] serve as
      the chain's step [i], with steps 0..i-1 assigned to ancestors? *)
   let memo : (int, bool) Hashtbl.t = Hashtbl.create 256 in
@@ -200,90 +191,74 @@ let run_with_text_time ?budget ?pool ?(funs = fun _ -> None) doc p =
       b
   in
   let results = ref [] in
-  for ti = lo to hi - 1 do
-      bcheck ();
-      let d = texts.(ti) in
-      let leaf = Document.leaf_of_text doc d in
-      let candidate =
-        if p.steps.(k - 1).axis = Attribute then begin
-          (* matched value leaf must be a "%" under an attribute node *)
-          if Document.tag_of doc leaf = Document.attval_tag then
-            Some (Tree_backend.parent bp leaf)
+  for ti = 0 to Array.length texts - 1 do
+    bcheck ();
+    let d = texts.(ti) in
+    let leaf = Document.leaf_of_text doc d in
+    let candidate =
+      if p.steps.(k - 1).axis = Attribute then begin
+        (* matched value leaf must be a "%" under an attribute node *)
+        if Document.tag_of doc leaf = Document.attval_tag then
+          Some (Tree_backend.parent bp leaf)
+        else None
+      end
+      else begin
+        match p.steps.(k - 1).test with
+        | Text ->
+          if Document.tag_of doc leaf = Document.text_tag then Some leaf else None
+        | Star | Name _ | Node ->
+          let parent = Tree_backend.parent bp leaf in
+          if parent >= 0
+             && Document.tag_of doc leaf = Document.text_tag
+             && Document.pcdata_only doc parent
+          then Some parent
           else None
-        end
-        else begin
-          match p.steps.(k - 1).test with
-          | Text ->
-            if Document.tag_of doc leaf = Document.text_tag then Some leaf else None
-          | Star | Name _ | Node ->
-            let parent = Tree_backend.parent bp leaf in
-            if parent >= 0
-               && Document.tag_of doc leaf = Document.text_tag
-               && Document.pcdata_only doc parent
-            then Some parent
-            else None
-        end
+      end
+    in
+    match candidate with
+    | None -> ()
+    | Some x_last ->
+      (* ancestors of the candidate, chain order A.(0) = candidate *)
+      let ancestors =
+        let rec go y acc = if y < 0 then List.rev acc else go (Tree_backend.parent bp y) (y :: acc) in
+        Array.of_list (go x_last [])
       in
-      match candidate with
-      | None -> ()
-      | Some x_last ->
-        (* ancestors of the candidate, chain order A.(0) = candidate *)
-        let ancestors =
-          let rec go y acc = if y < 0 then List.rev acc else go (Tree_backend.parent bp y) (y :: acc) in
-          Array.of_list (go x_last [])
-        in
-        let depth = Array.length ancestors in
-        (* down_ok j idx: ancestors.(idx) serves as step j, with steps
-           j+1..k-1 assigned strictly below it on this root path *)
-        let down_memo = Hashtbl.create 16 in
-        let rec down_ok j idx =
-          let key = (j * depth) + idx in
-          match Hashtbl.find_opt down_memo key with
-          | Some b -> b
-          | None ->
-            let b =
-              test_ok doc p.steps.(j) ancestors.(idx)
-              &&
-              (if j = k - 1 then idx = 0
-               else begin
-                 match p.steps.(j + 1).axis with
-                 | Child -> idx > 0 && down_ok (j + 1) (idx - 1)
-                 | Descendant ->
-                   let rec any idx' =
-                     idx' >= 0 && (down_ok (j + 1) idx' || any (idx' - 1))
-                   in
-                   any (idx - 1)
-                 | Attribute ->
-                   (* attribute of this element: two levels down via "@" *)
-                   idx > 1 && down_ok (j + 1) (idx - 2)
-                 | Self | Following_sibling -> false
-               end)
-            in
-            Hashtbl.replace down_memo key b;
-            b
-        in
-        (for idx = 0 to depth - 1 do
-           if down_ok r idx && up_ok r ancestors.(idx) then
-             results := ancestors.(idx) :: !results
-         done)
+      let depth = Array.length ancestors in
+      (* down_ok j idx: ancestors.(idx) serves as step j, with steps
+         j+1..k-1 assigned strictly below it on this root path *)
+      let down_memo = Hashtbl.create 16 in
+      let rec down_ok j idx =
+        let key = (j * depth) + idx in
+        match Hashtbl.find_opt down_memo key with
+        | Some b -> b
+        | None ->
+          let b =
+            test_ok doc p.steps.(j) ancestors.(idx)
+            &&
+            (if j = k - 1 then idx = 0
+             else begin
+               match p.steps.(j + 1).axis with
+               | Child -> idx > 0 && down_ok (j + 1) (idx - 1)
+               | Descendant ->
+                 let rec any idx' =
+                   idx' >= 0 && (down_ok (j + 1) idx' || any (idx' - 1))
+                 in
+                 any (idx - 1)
+               | Attribute ->
+                 (* attribute of this element: two levels down via "@" *)
+                 idx > 1 && down_ok (j + 1) (idx - 2)
+               | Self | Following_sibling -> false
+             end)
+          in
+          Hashtbl.replace down_memo key b;
+          b
+      in
+      (for idx = 0 to depth - 1 do
+         if down_ok r idx && up_ok r ancestors.(idx) then
+           results := ancestors.(idx) :: !results
+       done)
   done;
-  !results
-  in
-  let n = Array.length texts in
-  let results =
-    match pool with
-    | Some pl when Sxsi_par.Pool.size pl > 1 && n >= par_cutoff ->
-      let nchunks = min (4 * Sxsi_par.Pool.size pl) n in
-      let ranges =
-        Array.init nchunks (fun j -> (n * j / nchunks, n * (j + 1) / nchunks))
-      in
-      List.concat
-        (Array.to_list
-           (Sxsi_par.Pool.map_array pl (fun (lo, hi) -> eval_slice lo hi) ranges))
-    | _ -> eval_slice 0 n
-  in
-  (text_time, List.sort_uniq compare results)
+  (text_time, List.sort_uniq compare !results)
   end
 
-let run ?budget ?pool ?funs doc p =
-  snd (run_with_text_time ?budget ?pool ?funs doc p)
+let run ?budget ?funs doc p = snd (run_with_text_time ?budget ?funs doc p)

@@ -24,17 +24,15 @@ val matches_empty_value : ?funs:Run.text_funs -> plan -> bool
     without texts qualify and the bottom-up strategy is unsound. *)
 
 val run :
-  ?budget:Sxsi_qos.Budget.t -> ?pool:Sxsi_par.Pool.t -> ?funs:Run.text_funs ->
+  ?budget:Sxsi_qos.Budget.t -> ?funs:Run.text_funs ->
   Sxsi_xml.Document.t -> plan -> int list
-(** Selected node positions, sorted (document order).  With a [pool] of
-    size [> 1] and enough matching texts, candidate verification is
-    chunked across the pool's domains; the sorted, deduplicated result
-    is identical to the sequential run.  With a [budget], each
-    candidate text charges one {!Sxsi_qos.Budget.check} step: the run
-    completes in full or raises {!Sxsi_qos.Budget.Exceeded}. *)
+(** Selected node positions, sorted (document order).  With a
+    [budget], each candidate text charges one {!Sxsi_qos.Budget.check}
+    step: the run completes in full or raises
+    {!Sxsi_qos.Budget.Exceeded}. *)
 
 val run_with_text_time :
-  ?budget:Sxsi_qos.Budget.t -> ?pool:Sxsi_par.Pool.t -> ?funs:Run.text_funs ->
+  ?budget:Sxsi_qos.Budget.t -> ?funs:Run.text_funs ->
   Sxsi_xml.Document.t -> plan -> float * int list
 (** Like {!run}, also reporting the seconds spent in the text-index
     phase (for the Figure 15 time split). *)

@@ -50,9 +50,8 @@ let eval_failpoint = Sxsi_qos.Failpoint.site "engine.eval"
 
 (* Run [f] under [budget]: fail fast if the deadline already passed
    (e.g. the request waited it out in the accept queue), and install
-   the budget ambiently so the FM-index loops — and, via
-   [Pool.fork]'s capture, any chunk running on another domain — check
-   it without parameter threading. *)
+   the budget ambiently so the FM-index loops check it without
+   parameter threading. *)
 let with_budget budget f =
   match budget with
   | None -> f ()
@@ -157,17 +156,17 @@ let chosen_strategy_one ~funs ~strategy (c : one) =
 let chosen_strategy ?(funs = fun _ -> None) ?(strategy = Auto) c =
   chosen_strategy_one ~funs ~strategy (one c)
 
-let select_one ?budget ?pool ?config ~funs ~strategy (c : one) =
+let select_one ?budget ?config ~funs ~strategy (c : one) =
   match chosen_strategy_one ~funs ~strategy c with
   | `Bottom_up ->
     span_counted n_bottom_up Array.length (fun () ->
         match c.bu with
-        | Some plan -> Array.of_list (Bottom_up.run ?budget ?pool ~funs c.doc plan)
+        | Some plan -> Array.of_list (Bottom_up.run ?budget ~funs c.doc plan)
         | None -> assert false)
   | `Top_down ->
     span_counted n_top_down Array.length (fun () ->
         let auto = Lazy.force c.auto in
-        let marks = Run.run ?budget ?pool ?config ~funs Run.marks_sem auto in
+        let marks = Run.run ?budget ?config ~funs Run.marks_sem auto in
         let pos = Marks.positions (Document.tree c.doc) marks in
         if auto.Automaton.needs_dedup then
           Array.of_list (List.sort_uniq compare (Array.to_list pos))
@@ -178,37 +177,36 @@ let select_one ?budget ?pool ?config ~funs ~strategy (c : one) =
           pos
         end)
 
-let select_impl ?budget ?pool ?config ~funs ~strategy c =
+let select_impl ?budget ?config ~funs ~strategy c =
   match c with
-  | [ single ] -> select_one ?budget ?pool ?config ~funs ~strategy single
+  | [ single ] -> select_one ?budget ?config ~funs ~strategy single
   | branches ->
-    (* union: evaluate each branch and merge, removing duplicates (each
-       branch fans out on the pool internally) *)
+    (* union: evaluate each branch and merge, removing duplicates *)
     List.concat_map
-      (fun b -> Array.to_list (select_one ?budget ?pool ?config ~funs ~strategy b))
+      (fun b -> Array.to_list (select_one ?budget ?config ~funs ~strategy b))
       branches
     |> List.sort_uniq compare |> Array.of_list
 
-let count_impl ?budget ?pool ?config ~funs ~strategy c =
+let count_impl ?budget ?config ~funs ~strategy c =
   match c with
   | [ single ] -> begin
     match chosen_strategy_one ~funs ~strategy single with
     | `Bottom_up ->
       span_counted n_bottom_up Fun.id (fun () ->
           match single.bu with
-          | Some plan -> List.length (Bottom_up.run ?budget ?pool ~funs single.doc plan)
+          | Some plan -> List.length (Bottom_up.run ?budget ~funs single.doc plan)
           | None -> assert false)
     | `Top_down ->
       let auto = Lazy.force single.auto in
       if auto.Automaton.needs_dedup then
-        Array.length (select_one ?budget ?pool ?config ~funs ~strategy:Top_down single)
+        Array.length (select_one ?budget ?config ~funs ~strategy:Top_down single)
       else
         span_counted n_top_down Fun.id (fun () ->
-            Run.run ?budget ?pool ?config ~funs
+            Run.run ?budget ?config ~funs
               (Run.count_sem (Document.tree single.doc))
               auto)
   end
-  | branches -> Array.length (select_impl ?budget ?pool ?config ~funs ~strategy branches)
+  | branches -> Array.length (select_impl ?budget ?config ~funs ~strategy branches)
 
 (* Install fresh FM/tag probes for the duration of a traced evaluation
    and fold their readings into the trace: call/step counts become
@@ -283,61 +281,47 @@ let finish_trace ~funs ~strategy trace c nresults =
       end
     | _ -> ())
 
-let select ?budget ?pool ?config ?(funs = fun _ -> None) ?(strategy = Auto) ?trace c =
+let select ?budget ?config ?(funs = fun _ -> None) ?(strategy = Auto) ?trace c =
   Sxsi_qos.Failpoint.hit eval_failpoint;
   if Option.is_some trace then precompile ?trace c;
   let nodes =
     span_counted n_select Array.length (fun () ->
         with_budget budget (fun () ->
             eval_traced trace config (fun config ->
-                select_impl ?budget ?pool ?config ~funs ~strategy c)))
+                select_impl ?budget ?config ~funs ~strategy c)))
   in
   charge_results budget (Array.length nodes);
   finish_trace ~funs ~strategy trace c (Array.length nodes);
   nodes
 
-let count ?budget ?pool ?config ?(funs = fun _ -> None) ?(strategy = Auto) ?trace c =
+let count ?budget ?config ?(funs = fun _ -> None) ?(strategy = Auto) ?trace c =
   Sxsi_qos.Failpoint.hit eval_failpoint;
   if Option.is_some trace then precompile ?trace c;
   let n =
     span_counted n_count Fun.id (fun () ->
         with_budget budget (fun () ->
             eval_traced trace config (fun config ->
-                count_impl ?budget ?pool ?config ~funs ~strategy c)))
+                count_impl ?budget ?config ~funs ~strategy c)))
   in
   finish_trace ~funs ~strategy trace c n;
   n
 
-let select_preorders ?budget ?pool ?config ?funs ?strategy ?trace c =
-  let nodes = select ?budget ?pool ?config ?funs ?strategy ?trace c in
+let select_preorders ?budget ?config ?funs ?strategy ?trace c =
+  let nodes = select ?budget ?config ?funs ?strategy ?trace c in
   J.with_span J.Engine n_materialize (fun () ->
       maybe_time trace Trace.Materialize (fun () ->
           Array.map (Document.preorder (one c).doc) nodes))
 
-(* Minimum result count before serialization fans out on a pool. *)
-let serialize_par_cutoff = 4
-
-let serialize_to ?budget ?pool ?config ?funs ?strategy ?trace buf c =
-  let nodes = select ?budget ?pool ?config ?funs ?strategy ?trace c in
+let serialize_to ?budget ?config ?funs ?strategy ?trace buf c =
+  let nodes = select ?budget ?config ?funs ?strategy ?trace c in
   let doc = (one c).doc in
-  (* Byte accounting is shared and atomic: parallel serialization adds
-     chunk sizes in scheduling order, but whether the total passes the
-     byte budget does not depend on that order, so the outcome is
-     still complete-or-[Exceeded]. *)
-  let serialize x =
-    let s = Document.serialize doc x in
-    charge_bytes budget (String.length s);
-    s
-  in
   J.with_span J.Engine n_materialize (fun () ->
       maybe_time trace Trace.Materialize (fun () ->
           with_budget budget (fun () ->
-              match pool with
-          | Some p
-            when Sxsi_par.Pool.size p > 1 && Array.length nodes >= serialize_par_cutoff
-            ->
-            (* subtrees serialize independently; append in document order *)
-            let parts = Sxsi_par.Pool.map_array p serialize nodes in
-            Array.iter (Buffer.add_string buf) parts
-          | _ -> Array.iter (fun x -> Buffer.add_string buf (serialize x)) nodes)));
+              Array.iter
+                (fun x ->
+                  let s = Document.serialize doc x in
+                  charge_bytes budget (String.length s);
+                  Buffer.add_string buf s)
+                nodes)));
   Array.length nodes

@@ -45,6 +45,8 @@ val chosen_strategy :
 
 (** {1 Evaluation}
 
+    Every entry point evaluates the whole query on the calling domain.
+
     Every entry point takes an optional [trace].  When present, the
     evaluation is instrumented: any pending compilation is forced under
     the [Compile] phase, the evaluation itself is timed as [Run]
@@ -64,7 +66,7 @@ val chosen_strategy :
     [budget] ({!Sxsi_qos.Budget.t}).  When present the deadline is
     checked once up front (a request that already blew it fails before
     doing work), the budget is installed ambiently so FM-index loops
-    and pool chunks charge it, every evaluator step calls the sampled
+    charge it, every evaluator step calls the sampled
     {!Sxsi_qos.Budget.check}, [select]/[select_preorders] charge the
     result count against the budget's result limit, and [serialize_to]
     charges serialized bytes against its byte limit.  A blown budget
@@ -75,38 +77,23 @@ val chosen_strategy :
 
 val count :
   ?budget:Sxsi_qos.Budget.t ->
-  ?pool:Sxsi_par.Pool.t ->
   ?config:Run.config -> ?funs:Run.text_funs -> ?strategy:strategy ->
   ?trace:Sxsi_obs.Trace.t -> compiled -> int
 
 val select :
   ?budget:Sxsi_qos.Budget.t ->
-  ?pool:Sxsi_par.Pool.t ->
   ?config:Run.config -> ?funs:Run.text_funs -> ?strategy:strategy ->
   ?trace:Sxsi_obs.Trace.t -> compiled -> int array
-(** Selected node positions in document order.
-
-    Every evaluation entry point also takes an optional [pool]: with a
-    pool of size [> 1], top-down marking scans partition across subtree
-    chunks, bottom-up plans partition across text-hit ranges, and
-    serialization fans out per result — all with deterministic
-    document-order merging, so counts, positions and serialized bytes
-    are identical to the sequential run.  Small inputs fall back to the
-    sequential path.  The [compiled] value must be {!precompile}d
-    before it is shared across domains; passing a pool here is safe
-    because the evaluating domain forces compilation before fanning
-    out. *)
+(** Selected node positions in document order. *)
 
 val select_preorders :
   ?budget:Sxsi_qos.Budget.t ->
-  ?pool:Sxsi_par.Pool.t ->
   ?config:Run.config -> ?funs:Run.text_funs -> ?strategy:strategy ->
   ?trace:Sxsi_obs.Trace.t -> compiled -> int array
 (** Global identifiers (preorders) of the selected nodes. *)
 
 val serialize_to :
   ?budget:Sxsi_qos.Budget.t ->
-  ?pool:Sxsi_par.Pool.t ->
   ?config:Run.config -> ?funs:Run.text_funs -> ?strategy:strategy ->
   ?trace:Sxsi_obs.Trace.t -> Buffer.t -> compiled -> int
 (** Materialize and serialize every result into the buffer; returns the

@@ -257,11 +257,9 @@ let mem_range arr lo hi =
   done;
   !l < n && arr.(!l) < hi
 
-let make_pred_eval ?sets doc (auto : Automaton.t) funs =
+let make_pred_eval doc (auto : Automaton.t) funs =
   let n = Array.length auto.Automaton.preds in
-  let sets : int array option array =
-    match sets with Some s -> s | None -> Array.make n None
-  in
+  let sets : int array option array = Array.make n None in
   let get_set i =
     match sets.(i) with
     | Some s -> s
@@ -270,7 +268,6 @@ let make_pred_eval ?sets doc (auto : Automaton.t) funs =
       sets.(i) <- Some s;
       s
   in
-  (* value tests are mutable, so each evaluation context makes its own *)
   let tests : value_test option array = Array.make n None in
   let get_test i op lit =
     match tests.(i) with
@@ -331,11 +328,11 @@ type shortcut =
                              or over an optimizer jump set *)
   | Sibling of int array  (* a child/following-sibling scan over a jump set *)
 
-(* A scanning state's shortcut, decided once per run and shared
-   read-only by every evaluation context.  [sp_down1]/[sp_down2] are
-   the match formula's down1/down2 state sets, hash-consed here so the
-   scan loops never take the [Stateset] table's lock per probe;
-   [sp_slot] numbers the plan for the per-context scoping cache. *)
+(* A scanning state's shortcut, decided once per run.
+   [sp_down1]/[sp_down2] are the match formula's down1/down2 state
+   sets, hash-consed here so the scan loops never take the [Stateset]
+   table's lock per probe; [sp_slot] numbers the plan for the scoping
+   cache. *)
 type scan_plan = {
   sp_state : int;
   sp_info : Automaton.scan_info;
@@ -345,42 +342,12 @@ type scan_plan = {
   sp_slot : int;
 }
 
-(* One domain's evaluation functions, closed over its own stats and
-   memo tables. *)
-type 'r context = {
-  c_eval : int -> Stateset.t -> int -> int -> (int * 'r) list;
-  c_scan_chunk : scan_plan -> int -> int -> int -> int array -> int -> int -> 'r;
-}
-
-(* Positions a non-dropping marking scan will visit in [x, limit): all
-   occurrences reported by [next], independent of match results.
-   [check] is the run's budget check (a no-op without a budget):
-   collection can cover a whole document before any chunk evaluates. *)
-let scan_positions check next x limit =
-  let acc = ref [] in
-  let p = ref (next x) in
-  while !p >= 0 && !p < limit do
-    check ();
-    acc := !p :: !acc;
-    p := next (!p + 1)
-  done;
-  Array.of_list (List.rev !acc)
-
-(* Minimum scan positions before a region is chunked across a pool. *)
-let scan_par_cutoff = 64
-
-let merge_stats into from =
-  into.visited <- into.visited + from.visited;
-  into.marked <- into.marked + from.marked;
-  into.jumps <- into.jumps + from.jumps;
-  into.memo_hits <- into.memo_hits + from.memo_hits
-
-let run ?budget ?pool ?config ?(funs = fun _ -> None) sem (auto : Automaton.t) =
+let run ?budget ?config ?(funs = fun _ -> None) sem (auto : Automaton.t) =
   let config = match config with Some c -> c | None -> default_config () in
+  let stats = config.stats in
   (* One step charged per node visited (scan or simulation); the check
      is a single atomic increment, with the deadline read sampled —
-     see [Sxsi_qos.Budget].  Chunk contexts share the same budget, so
-     one chunk tripping cancels the siblings at their next check. *)
+     see [Sxsi_qos.Budget]. *)
   let bcheck =
     match budget with
     | None -> fun () -> ()
@@ -391,9 +358,6 @@ let run ?budget ?pool ?config ?(funs = fun _ -> None) sem (auto : Automaton.t) =
   let ti = Document.tree doc in
   let rel = Document.rel doc in
   let tag_count = Document.tag_count doc in
-  let pool =
-    match pool with Some p when Sxsi_par.Pool.size p > 1 -> Some p | _ -> None
-  in
   (* A merged cursor over the occurrences of a jump set: [next p] is
      the first occurrence >= p of any tag in [tags], or -1.  Per-tag
      candidates are cached and refreshed lazily, so a whole scan costs
@@ -460,30 +424,7 @@ let run ?budget ?pool ?config ?(funs = fun _ -> None) sem (auto : Automaton.t) =
               sp_slot = Hashtbl.length plans;
             })
       auto.Automaton.scan;
-  (* With a pool, predicate text-sets are computed once up front and
-     shared read-only by every evaluation context (the lazy per-context
-     initialization would race).  A predicate whose resolution fails
-     stays unresolved here and raises at its first evaluation, exactly
-     like the sequential lazy path. *)
-  let pred_sets =
-    match pool with
-    | None -> None
-    | Some _ ->
-      Some
-        (Array.init (Array.length auto.Automaton.preds) (fun i ->
-             match text_set_of_pred doc funs auto.Automaton.preds.(i) with
-             | s -> Some s
-             | exception _ -> None))
-  in
-  (* One evaluation context per domain: the §5.5.2 memo tables, the
-     scoped jump sets and the mutable stats are context-local, and all
-     are semantically transparent (the caches hold pure functions of
-     their keys), so a chunk of a scan evaluated in a fresh context
-     yields exactly the sequential result.  [par] is the pool the
-     context may fan out on; chunk contexts get [None], so parallel
-     scans do not nest. *)
-  let rec make_context ~par stats =
-  let pred_eval = make_pred_eval ?sets:pred_sets doc auto funs in
+  let pred_eval = make_pred_eval doc auto funs in
   (* per-state-set arrays indexed by tag: one pointer chase per visit
      once warm (the "just-in-time compilation" tables of §5.5.2) *)
   let memo : (int, analysis option array) Hashtbl.t = Hashtbl.create 16 in
@@ -526,8 +467,8 @@ let run ?budget ?pool ?config ?(funs = fun _ -> None) sem (auto : Automaton.t) =
      that can stand in [relation] to a [rtag]-tagged node: a recursive
      scan over the descendants of [rtag] needs only Desc(rtag), a
      sibling scan under a [rtag] parent only Child(rtag).  Cached per
-     (plan, tag) in this context; a negative [rtag] (region tag
-     unknown) leaves the set whole. *)
+     (plan, tag); a negative [rtag] (region tag unknown) leaves the set
+     whole. *)
   let scoped = Array.make (Hashtbl.length plans) [||] in
   let scope sp relation tags rtag =
     if rtag < 0 then tags
@@ -612,66 +553,27 @@ let run ?budget ?pool ?config ?(funs = fun _ -> None) sem (auto : Automaton.t) =
   and scan_region sp x limit rt ~gtag ~next =
     stats.jumps <- stats.jumps + 1;
     let si = sp.sp_info in
-    let parallel =
-      (* Only a marking, non-dropping scan visits a match-independent
-         position sequence (every tag occurrence in the region, each
-         advancing by one): those positions evaluate independently and
-         their marks concatenate in preorder.  Dropping scans skip
-         subtrees of successful matches and existence scans stop at the
-         first success, so both stay sequential. *)
-      match par with
-      | Some pl when si.Automaton.scan_marking && not si.Automaton.scan_drop -> Some pl
-      | _ -> None
-    in
-    match parallel with
-    | Some pl ->
-      let ps = scan_positions bcheck next x limit in
-      let np = Array.length ps in
-      if np < scan_par_cutoff then [ (sp.sp_state, scan_chunk sp gtag limit rt ps 0 np) ]
+    let rec loop p acc found =
+      let p = next p in
+      if p < 0 || p >= limit then (acc, found)
       else begin
-        let nchunks = min (4 * Sxsi_par.Pool.size pl) np in
-        let ranges =
-          Array.init nchunks (fun j -> (np * j / nchunks, np * (j + 1) / nchunks))
-        in
-        let results =
-          Sxsi_par.Pool.map_array pl
-            (fun (lo, hi) ->
-              let cstats = fresh_stats () in
-              let ctx = make_context ~par:None cstats in
-              (ctx.c_scan_chunk sp gtag limit rt ps lo hi, cstats))
-            ranges
-        in
-        let marks =
-          Array.fold_left
-            (fun acc (m, cstats) ->
-              merge_stats stats cstats;
-              sem.cat acc m)
-            sem.empty results
-        in
-        [ (sp.sp_state, marks) ]
-      end
-    | None ->
-      let rec loop p acc found =
-        let p = next p in
-        if p < 0 || p >= limit then (acc, found)
-        else begin
-          bcheck ();
-          stats.visited <- stats.visited + 1;
-          let tag = if gtag >= 0 then gtag else Tree_backend.tag ti p in
-          let b, m = eval_match sp p tag limit rt in
-          if si.Automaton.scan_marking then begin
-            let acc = if b then sem.cat acc m else acc in
-            let next = if b && si.Automaton.scan_drop then Tree_backend.close bp p else p + 1 in
-            loop next acc true
-          end
-          else if b then (acc, true)
-          else loop (p + 1) acc found
+        bcheck ();
+        stats.visited <- stats.visited + 1;
+        let tag = if gtag >= 0 then gtag else Tree_backend.tag ti p in
+        let b, m = eval_match sp p tag limit rt in
+        if si.Automaton.scan_marking then begin
+          let acc = if b then sem.cat acc m else acc in
+          let next = if b && si.Automaton.scan_drop then Tree_backend.close bp p else p + 1 in
+          loop next acc true
         end
-      in
-      let marks, found = loop x sem.empty false in
-      if si.Automaton.scan_marking then [ (sp.sp_state, marks) ]
-      else if found then [ (sp.sp_state, sem.empty) ]
-      else []
+        else if b then (acc, true)
+        else loop (p + 1) acc found
+      end
+    in
+    let marks, found = loop x sem.empty false in
+    if si.Automaton.scan_marking then [ (sp.sp_state, marks) ]
+    else if found then [ (sp.sp_state, sem.empty) ]
+    else []
   (* A single non-recursive scanning state over the sibling chain
      starting at [x] (the child:: and following-sibling:: steps):
      jump between occurrences of the jump set instead of walking
@@ -735,21 +637,6 @@ let run ?budget ?pool ?config ?(funs = fun _ -> None) sem (auto : Automaton.t) =
       else eval (Tree_backend.next_sibling bp p) sp.sp_down2 limit rt
     in
     eval_phi r1 r2 p tag sp.sp_info.Automaton.scan_match
-  (* One chunk of a parallel scan: evaluate the positions [lo, hi) of
-     [ps] in this context and concatenate their marks in order.
-     [gtag] is the scan's single guard tag, or negative when the guard
-     is multi-tag (the tag is then read per position). *)
-  and scan_chunk sp gtag limit rt ps lo hi =
-    let acc = ref sem.empty in
-    for k = lo to hi - 1 do
-      bcheck ();
-      let p = ps.(k) in
-      stats.visited <- stats.visited + 1;
-      let tag = if gtag >= 0 then gtag else Tree_backend.tag ti p in
-      let b, m = eval_match sp p tag limit rt in
-      if b then acc := sem.cat !acc m
-    done;
-    !acc
   and visit x qtd limit rt =
     bcheck ();
     stats.visited <- stats.visited + 1;
@@ -870,11 +757,8 @@ let run ?budget ?pool ?config ?(funs = fun _ -> None) sem (auto : Automaton.t) =
       if b1 then (true, m1) else eval_phi r1 r2 x tag p2
     | Formula.Not p -> (not (fst (eval_phi r1 r2 x tag p)), sem.empty)
   in
-  { c_eval = eval; c_scan_chunk = scan_chunk }
-  in
-  let ctx = make_context ~par:pool config.stats in
   let res =
-    ctx.c_eval (Document.root doc)
+    eval (Document.root doc)
       (Stateset.of_list [ auto.Automaton.start ])
       (Tree_backend.length bp) (-1)
   in

@@ -107,31 +107,17 @@ val custom_fn : text_funs -> string -> string -> custom_impl
 
 val run :
   ?budget:Sxsi_qos.Budget.t ->
-  ?pool:Sxsi_par.Pool.t ->
   ?config:config ->
   ?funs:text_funs ->
   'r sem ->
   Sxsi_auto.Automaton.t ->
   'r
-(** Run the automaton from the document root; the result is the
-    combined marks of the start state ([sem.empty] when the automaton
-    has no accepting run).
+(** Run the automaton from the document root, on the calling domain;
+    the result is the combined marks of the start state ([sem.empty]
+    when the automaton has no accepting run).
 
-    With a [budget], every node visit (simulation step, scan position,
-    chunk iteration) charges one step via {!Sxsi_qos.Budget.check}:
-    the run either completes with its full, deterministic result or
-    raises {!Sxsi_qos.Budget.Exceeded} — chunks share the budget, so
-    one chunk tripping cancels the siblings at their next check and
-    no truncated result can escape.
-
-    With a [pool] of size [> 1], marking scan regions (§5.4.1) over
-    enough positions are partitioned across the pool's domains: chunk
-    marks concatenate in preorder, so [positions]/[count] over the
-    result — and therefore every {!Engine} answer — are identical to
-    the sequential run (only the associativity of the mark
-    concatenation differs).  Predicate text-sets are then computed
-    eagerly once and shared read-only.  Dropping and existence scans,
-    whose traversal depends on match results, always run sequentially.
-    Stats are aggregated across chunk contexts; [memo_hits] may differ
-    from a sequential run since each chunk warms its own tables.
+    With a [budget], every node visit (simulation step or scan
+    position) charges one step via {!Sxsi_qos.Budget.check}: the run
+    either completes with its full, deterministic result or raises
+    {!Sxsi_qos.Budget.Exceeded}, so no truncated result can escape.
     @raise Invalid_argument on an unregistered custom predicate. *)

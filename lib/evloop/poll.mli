@@ -1,17 +1,8 @@
-(** Readiness polling for the event loop: a {!poll}(2) binding with a
-    [Unix.select] fallback.
+(** Readiness polling for the event loop: a poll(2) binding.
 
     The loop registers interest per file descriptor and asks which are
-    ready; both backends speak the same three readiness bits.  The
-    poll(2) backend has no [FD_SETSIZE] ceiling and is the default;
-    the select fallback exists for platforms without the stub and for
-    differential testing ([SXSI_EVLOOP_POLL=select]). *)
-
-type backend = Poll_syscall | Select
-
-val backend : unit -> backend
-(** The backend in use: poll(2) unless the [SXSI_EVLOOP_POLL]
-    environment variable says [select]. *)
+    ready, as three readiness bits.  Unlike [Unix.select], poll(2) has
+    no [FD_SETSIZE] ceiling. *)
 
 val ev_read : int
 (** Interest/readiness bit 1: readable (or peer hung up). *)

@@ -165,8 +165,7 @@ let lf t i =
 
 (* The search/locate loops are the innermost unbounded work in a
    query; they charge the ambient request budget (installed by
-   [Sxsi_core.Engine], propagated across pool domains by
-   [Sxsi_par.Pool.fork]).  The ambient lookup happens once per public
+   [Sxsi_core.Engine]).  The ambient lookup happens once per public
    call; with no budget installed each loop step pays one branch. *)
 let budget_step = function
   | None -> ()

@@ -1,7 +1,7 @@
 (** A shared, bounded work-stealing domain pool: the parallel execution
     substrate under parallel index construction ({!Sxsi_xml.Document}
-    with [~pool]), intra-query parallelism ({!Sxsi_core.Engine} with
-    [?pool]) and the service front end.
+    with [~pool]).  Queries do not use it: each evaluates on the domain
+    that received it.
 
     A pool of size [d] uses at most [d] domains at a time: [d - 1]
     spawned worker domains plus whichever domain is currently waiting on

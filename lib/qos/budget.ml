@@ -83,9 +83,9 @@ let remaining_ns t =
 let tripped t = Atomic.get t.tripped
 let steps t = Atomic.get t.steps
 
-(* First overrun wins: record it and raise; a loser (or a sibling
-   observing the flag) raises the recorded reason and counts as a
-   cooperative cancellation. *)
+(* First overrun wins: record it and raise; a loser (or any later
+   check observing the flag) raises the recorded reason and counts as
+   a cooperative cancellation. *)
 let trip t reason =
   if Atomic.compare_and_set t.tripped None (Some reason) then begin
     Counter.incr exceeded_total;

@@ -17,17 +17,15 @@
     deadline fails before doing any work.  Result and byte accounting
     ({!add_results}, {!add_bytes}) is exact and checked immediately.
 
-    {2 Sharing and cancellation}
+    {2 Tripping}
 
-    One budget is shared by every domain working on the same request:
-    step/result/byte counters are atomics, and the first check that
-    detects an overrun records the {!type:reason} in a [tripped] flag
-    with a compare-and-set.  Subsequent checks — including those in
-    sibling chunks running on other pool domains — observe the flag at
-    their next sampled check and raise [Exceeded] with the {e same}
-    recorded reason, so the exception a caller sees is deterministic
-    even though which chunk trips first is not.  Chunks cancelled this
-    way are counted in {!cancelled_chunks_total}.
+    Step/result/byte counters are atomics, so a budget may cross
+    domains with its request (a front end admits a request on one
+    domain and evaluates it on another).  The first check that detects
+    an overrun records the {!type:reason} in a [tripped] flag with a
+    compare-and-set; every later check on the same budget raises
+    [Exceeded] with the {e same} recorded reason, and is counted in
+    {!cancelled_chunks_total}.
 
     {2 Ambient propagation}
 
@@ -36,7 +34,7 @@
     domain-local storage for the extent of a callback, and
     {!ambient} reads it back.  [Sxsi_par.Pool.fork] captures the
     forking domain's ambient budget and re-installs it inside the
-    task, so the ambient budget follows the request across domains. *)
+    task. *)
 
 type reason =
   | Deadline  (** The wall-clock deadline passed. *)
@@ -135,6 +133,5 @@ val exceeded_total : Sxsi_obs.Counter.t
 (** Process-wide count of budgets tripped for any reason. *)
 
 val cancelled_chunks_total : Sxsi_obs.Counter.t
-(** Process-wide count of checks that raised because a {e sibling}
-    had already tripped the shared budget — i.e. chunks cancelled
-    cooperatively rather than overrunning themselves. *)
+(** Process-wide count of checks that raised because the budget had
+    already tripped, rather than overrunning themselves. *)

@@ -218,7 +218,6 @@ let flush_conn t c =
    coalescing and loop counters are scrapeable over the protocol. *)
 let ev_stats_lines t =
   [
-    ("ev_backend", (match Poll.backend () with Poll.Poll_syscall -> "poll" | Poll.Select -> "select"));
     ("ev_shards", string_of_int (Shards.count t.shards));
     ("ev_connections", string_of_int (Hashtbl.length t.conns));
     ("ev_turns", string_of_int (Loop.turns_total t.loop));

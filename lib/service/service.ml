@@ -65,7 +65,7 @@ type t = {
   counts : (key, int) Lru.t;
   metrics : Metrics.t;
   exposition : Sxsi_obs.Exposition.t;
-  pool : Sxsi_par.Pool.t option;  (* shared by builds and queries; None when domains <= 1 *)
+  pool : Sxsi_par.Pool.t option;  (* document builds only; None when domains <= 1 *)
   breakers : (string, Breaker.t) Hashtbl.t;
       (* per-document, keyed by name (survives reloads).  Guarded by
          its own mutex: the exposition's breaker gauge renders under
@@ -136,7 +136,7 @@ let build_exposition ~metrics ~registry ~compiled ~counts ~breakers ~breakers_lo
   counter ~help:"Query budgets tripped for any reason (process-wide)."
     ~name:"sxsi_qos_exceeded_total" Budget.exceeded_total;
   counter
-    ~help:"Evaluation chunks cancelled because a sibling tripped the shared budget (process-wide)."
+    ~help:"Budget checks that raised because the budget had already tripped (process-wide)."
     ~name:"sxsi_qos_cancelled_chunks_total" Budget.cancelled_chunks_total;
   gauge ~help:"Documents whose circuit breaker is currently refusing requests."
     ~name:"sxsi_qos_breaker_open" (fun () ->
@@ -336,18 +336,18 @@ let count ?budget t doc query =
   match cached with
   | Some n -> n
   | None ->
-    let n = Engine.count ?budget ?pool:t.pool ~config:(run_config t) c in
+    let n = Engine.count ?budget ~config:(run_config t) c in
     locked t (fun () -> Lru.add t.counts k n);
     n
 
 let select_preorders ?budget t doc query =
   let _, c = compiled_for t doc query in
-  Engine.select_preorders ?budget ?pool:t.pool ~config:(run_config t) c
+  Engine.select_preorders ?budget ~config:(run_config t) c
 
 let materialize ?budget t doc query =
   let _, c = compiled_for t doc query in
   let d = locked t (fun () -> (find_doc t doc).Registry.doc) in
-  let nodes = Engine.select ?budget ?pool:t.pool ~config:(run_config t) c in
+  let nodes = Engine.select ?budget ~config:(run_config t) c in
   Array.to_list
     (Array.map
        (fun x ->
@@ -365,7 +365,7 @@ let materialize ?budget t doc query =
 let trace ?budget t doc query =
   let tr = Sxsi_obs.Trace.create ~label:query () in
   let _, c = compiled_for ~trace:tr t doc query in
-  ignore (Engine.select_preorders ?budget ?pool:t.pool ~config:(run_config t) ~trace:tr c);
+  ignore (Engine.select_preorders ?budget ~config:(run_config t) ~trace:tr c);
   tr
 
 (* ------------------------------------------------------------------ *)

@@ -36,7 +36,7 @@ type options = {
          reports the setting ([optimize]) and the process-wide
          [opt_automata] / [opt_states_removed] /
          [opt_transitions_removed] tallies *)
-  domains : int;            (* evaluation pool size; <= 1 means sequential *)
+  domains : int;            (* index build pool size; <= 1 means sequential *)
   default_deadline_ms : int;
       (* per-request deadline applied when the session has not set one
          with [DEADLINE]; 0 means none *)
@@ -59,8 +59,9 @@ val default_options : options
 
 val create : ?options:options -> ?slow_log:Sxsi_obs.Slowlog.t -> unit -> t
 (** With [options.domains > 1] the service owns a {!Sxsi_par.Pool.t}
-    shared by document builds ([LOAD]) and query evaluation; its task
-    and steal counters join the metrics exposition.
+    that fans out document builds ([LOAD]); queries always evaluate on
+    the domain that received them.  The pool's task and steal counters
+    join the metrics exposition.
 
     [slow_log] is the slow-query log's sink: every request slower than
     [options.slow_ms] milliseconds appends one JSON line ([ts_ns],
@@ -77,7 +78,7 @@ val service_metrics : t -> Metrics.t
 val slow_log : t -> Sxsi_obs.Slowlog.t option
 
 val shutdown : t -> unit
-(** Join the evaluation pool's domains, if any, and close the
+(** Join the build pool's domains, if any, and close the
     slow-query log.  Call once no request is in flight; idempotent. *)
 
 val register_server : t -> workers:(unit -> int) -> queue_depth:(unit -> int) -> unit

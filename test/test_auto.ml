@@ -151,17 +151,17 @@ let opt_queries =
 
 (* Byte-identical count/select/serialize between the raw translation
    and the optimized automaton, over one document. *)
-let opt_agree ?pool doc =
+let opt_agree doc =
   List.for_all
     (fun q ->
       let craw = Engine.prepare ~optimize:false doc q in
       let copt = Engine.prepare ~optimize:true doc q in
-      Engine.count ?pool craw = Engine.count ?pool copt
-      && Engine.select_preorders ?pool craw = Engine.select_preorders ?pool copt
+      Engine.count craw = Engine.count copt
+      && Engine.select_preorders craw = Engine.select_preorders copt
       &&
       let braw = Buffer.create 256 and bopt = Buffer.create 256 in
-      let nraw = Engine.serialize_to ?pool braw craw in
-      let nopt = Engine.serialize_to ?pool bopt copt in
+      let nraw = Engine.serialize_to braw craw in
+      let nopt = Engine.serialize_to bopt copt in
       nraw = nopt && Buffer.contents braw = Buffer.contents bopt)
     opt_queries
 
@@ -213,18 +213,19 @@ let test_optimize_xmark_queries () =
       "//*//*//*//*";
     ]
 
+(* The optimizer over documents built under every pool size, for both
+   backends. *)
 let test_optimize_pools_agree () =
   let xml = Sxsi_datagen.Logs.generate ~entries:400 () in
   List.iter
     (fun backend ->
-      let doc = Document.of_xml ~backend xml in
       List.iter
         (fun lazy_pool ->
           let pool = Lazy.force lazy_pool in
           Alcotest.(check bool)
-            (Printf.sprintf "pool size %d agrees" (Sxsi_par.Pool.size pool))
+            (Printf.sprintf "built under pool size %d agrees" (Sxsi_par.Pool.size pool))
             true
-            (opt_agree ~pool doc))
+            (opt_agree (Document.of_xml ~pool ~backend xml)))
         [ Test_par.pool1; Test_par.pool2; Test_par.pool4 ])
     [ `Bp; `Grammar ]
 

@@ -154,16 +154,16 @@ let queries =
   ]
 
 (* Byte-identical count/select/serialize between the two backends of
-   the same document, sequential and at every pool size. *)
-let agree ?pool doc_bp doc_g =
+   the same document. *)
+let agree doc_bp doc_g =
   List.for_all
     (fun q ->
       let cb = Engine.prepare doc_bp q and cg = Engine.prepare doc_g q in
-      Engine.count ?pool cb = Engine.count ?pool cg
-      && Engine.select_preorders ?pool cb = Engine.select_preorders ?pool cg
+      Engine.count cb = Engine.count cg
+      && Engine.select_preorders cb = Engine.select_preorders cg
       &&
       let bb = Buffer.create 256 and bg = Buffer.create 256 in
-      let nb = Engine.serialize_to ?pool bb cb and ng = Engine.serialize_to ?pool bg cg in
+      let nb = Engine.serialize_to bb cb and ng = Engine.serialize_to bg cg in
       nb = ng && Buffer.contents bb = Buffer.contents bg)
     queries
 
@@ -194,8 +194,8 @@ let test_fixed_docs () =
     (fixed_docs ())
 
 let test_pools_agree () =
-  (* the same checks under intra-query parallelism, sharing the test
-     pools with test_par *)
+  (* each backend built under every pool size (sharing the test pools
+     with test_par) against the other backend's sequential build *)
   let xml = Sxsi_datagen.Logs.generate ~entries:400 () in
   let doc_bp = Document.of_xml ~backend:`Bp xml in
   let doc_g = Document.of_xml ~backend:`Grammar xml in
@@ -204,7 +204,9 @@ let test_pools_agree () =
       let pool = Lazy.force lazy_pool in
       Alcotest.(check bool)
         (Printf.sprintf "pool size %d agrees" (Pool.size pool))
-        true (agree ~pool doc_bp doc_g))
+        true
+        (agree (Document.of_xml ~pool ~backend:`Bp xml) doc_g
+        && agree doc_bp (Document.of_xml ~pool ~backend:`Grammar xml)))
     [ Test_par.pool1; Test_par.pool2; Test_par.pool4 ]
 
 let test_grammar_build_parallel () =

@@ -112,18 +112,10 @@ let test_wheel_cancel_and_delay () =
     (Wheel.next_delay_ms w ~now_ns:(ms 80))
 
 (* ------------------------------------------------------------------ *)
-(* Poll (both backends)                                                 *)
+(* Poll                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let with_poll_backend name f =
-  let old = Sys.getenv_opt "SXSI_EVLOOP_POLL" in
-  Unix.putenv "SXSI_EVLOOP_POLL" name;
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "SXSI_EVLOOP_POLL" (match old with Some v -> v | None -> ""))
-    f
-
-let poll_roundtrip () =
+let test_poll_backend () =
   let r, w = Unix.pipe () in
   Fun.protect
     ~finally:(fun () ->
@@ -155,9 +147,6 @@ let poll_roundtrip () =
       Poll.remove t w;
       let n = Poll.wait t ~timeout_ms:100 (fun _ _ -> ()) in
       Alcotest.(check int) "removed fd does not fire" 1 n)
-
-let test_poll_backend () = with_poll_backend "poll" poll_roundtrip
-let test_select_backend () = with_poll_backend "select" poll_roundtrip
 
 (* ------------------------------------------------------------------ *)
 (* Single-flight                                                        *)
@@ -578,7 +567,6 @@ let suite =
       Alcotest.test_case "wheel cancel and delay bound" `Quick
         test_wheel_cancel_and_delay;
       Alcotest.test_case "poll backend" `Quick test_poll_backend;
-      Alcotest.test_case "select backend" `Quick test_select_backend;
       Alcotest.test_case "single-flight join/complete" `Quick test_single_flight;
       Alcotest.test_case "single-flight seal on mutation" `Quick
         test_single_flight_seal;

@@ -1,10 +1,10 @@
 (* The parallel substrate, locked down differentially: pool semantics
    and stress (exceptions across the pool boundary, nested fork_join,
-   many small tasks), then the harness — parallel document builds and
-   parallel evaluation must be observably identical (counts, preorders,
-   serialized bytes) to the sequential run at every pool size.  Rides
-   along: rank/select block-boundary edge cases and the §6.6 strategy
-   rule. *)
+   many small tasks), then the harness — a document built under a pool
+   of any size must answer every query exactly like the sequentially
+   built one (counts, preorders, serialized bytes).  Queries themselves
+   always evaluate on one domain.  Rides along: rank/select
+   block-boundary edge cases and the §6.6 strategy rule. *)
 
 open Sxsi_core
 open Sxsi_xml
@@ -219,12 +219,12 @@ let test_pool_metrics () =
   Alcotest.(check bool) "tasks gauge positive" true (Pool.tasks_total p > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Differential harness: parallel = sequential, observably              *)
+(* Differential harness: pool-built = sequentially built, observably     *)
 (* ------------------------------------------------------------------ *)
 
-(* One (xml, query) pair: sequential build + evaluation is the oracle;
-   every pool size must reproduce its count, its preorder sequence and
-   its serialized bytes, on a parallel-built document. *)
+(* One (xml, query) pair: the sequentially built document is the
+   oracle; a document built under every pool size must reproduce its
+   count, its preorder sequence and its serialized bytes. *)
 let differential_ok xml query =
   let seq_doc = Document.of_xml xml in
   let c = Engine.prepare seq_doc query in
@@ -240,12 +240,11 @@ let differential_ok xml query =
       let p = Lazy.force l in
       let doc = Document.build ~pool:p xml in
       let cp = Engine.prepare doc query in
-      Engine.precompile cp;
-      let ids = Array.to_list (Engine.select_preorders ~pool:p cp) in
-      let n = Engine.count ~pool:p cp in
+      let ids = Array.to_list (Engine.select_preorders cp) in
+      let n = Engine.count cp in
       let bytes =
         let buf = Buffer.create 256 in
-        ignore (Engine.serialize_to ~pool:p buf cp);
+        ignore (Engine.serialize_to buf cp);
         Buffer.contents buf
       in
       ids = expected_ids && n = expected_count && bytes = expected_bytes)
@@ -257,10 +256,9 @@ let prop_differential =
     (fun (xml, query) -> Printf.sprintf "xml: %s\nquery: %s" xml query)
     (fun (xml, query) -> differential_ok xml query)
 
-(* A document big enough to cross every parallel cutoff: the wavelet
-   (32 KiB symbols), FM (64 KiB text), tag-index (32 Ki nodes) build
-   paths, the 64-hit scan/bottom-up evaluation paths, and the
-   4-result serialization path. *)
+(* A document big enough to cross every parallel build cutoff: the
+   wavelet (32 KiB symbols), FM (64 KiB text) and tag-index (32 Ki
+   nodes) paths. *)
 let big_xml =
   lazy
     (let buf = Buffer.create (1 lsl 18) in
@@ -307,40 +305,47 @@ let test_big_document_differential () =
       List.iter
         (fun q ->
           let cs = Engine.prepare seq_doc q and cp = Engine.prepare doc q in
-          Engine.precompile cp;
           let expected = Engine.select_preorders cs in
           Alcotest.(check (array int))
             (Printf.sprintf "%s at size %d" q (Pool.size p))
-            expected
-            (Engine.select_preorders ~pool:p cp);
+            expected (Engine.select_preorders cp);
           Alcotest.(check int)
             (Printf.sprintf "%s count at size %d" q (Pool.size p))
-            (Array.length expected) (Engine.count ~pool:p cp))
+            (Array.length expected) (Engine.count cp);
+          let bytes c =
+            let buf = Buffer.create 4096 in
+            ignore (Engine.serialize_to buf c);
+            Buffer.contents buf
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s bytes at size %d" q (Pool.size p))
+            true (bytes cs = bytes cp))
         big_queries)
     pools
 
 let test_big_document_strategies () =
-  (* both forced strategies, parallel, on a bottom-up-shaped query with
-     far more than [par_cutoff] matching texts *)
+  (* both forced strategies on a bottom-up-shaped query with thousands
+     of matching texts, over a document built under every pool size *)
   let xml = Lazy.force big_xml in
-  let doc = Document.of_xml xml in
   let q = "//name[contains(., '9')]" in
-  let c = Engine.prepare doc q in
-  Engine.precompile c;
-  let expected = Engine.select_preorders ~strategy:Engine.Top_down c in
-  Alcotest.(check bool) "query has the bottom-up shape" true
-    (Engine.bottom_up_plan c <> None);
+  let expected =
+    Engine.select_preorders ~strategy:Engine.Top_down
+      (Engine.prepare (Document.of_xml xml) q)
+  in
   List.iter
     (fun l ->
       let p = Lazy.force l in
+      let c = Engine.prepare (Document.build ~pool:p xml) q in
+      Alcotest.(check bool) "query has the bottom-up shape" true
+        (Engine.bottom_up_plan c <> None);
       Alcotest.(check (array int))
         (Printf.sprintf "top-down at size %d" (Pool.size p))
         expected
-        (Engine.select_preorders ~pool:p ~strategy:Engine.Top_down c);
+        (Engine.select_preorders ~strategy:Engine.Top_down c);
       Alcotest.(check (array int))
         (Printf.sprintf "bottom-up at size %d" (Pool.size p))
         expected
-        (Engine.select_preorders ~pool:p ~strategy:Engine.Bottom_up c))
+        (Engine.select_preorders ~strategy:Engine.Bottom_up c))
     pools
 
 (* ------------------------------------------------------------------ *)

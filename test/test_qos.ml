@@ -253,16 +253,6 @@ let test_engine_expired_deadline_no_work () =
 (* Determinism: complete and identical, or Exceeded — never truncated   *)
 (* ------------------------------------------------------------------ *)
 
-(* Shared pools, as in Test_par: domain spawns dominate otherwise. *)
-let pool1 = lazy (Pool.create ~name:"q1" ~domains:1 ())
-let pool2 = lazy (Pool.create ~name:"q2" ~domains:2 ())
-let pool4 = lazy (Pool.create ~name:"q4" ~domains:4 ())
-let pools = [ pool1; pool2; pool4 ]
-
-let () =
-  at_exit (fun () ->
-      List.iter (fun l -> if Lazy.is_val l then Pool.shutdown (Lazy.force l)) pools)
-
 let big_xml =
   lazy
     (let buf = Buffer.create (1 lsl 17) in
@@ -277,15 +267,14 @@ let big_xml =
      Buffer.add_string buf "</root>";
      Buffer.contents buf)
 
-(* For one query and one step limit: at every pool size the budgeted
-   run either reproduces the oracle byte for byte or raises Exceeded.
-   A partial (truncated but non-raising) answer fails the test. *)
+(* For one query and one step limit: the budgeted run either
+   reproduces the oracle byte for byte or raises Exceeded.  A partial
+   (truncated but non-raising) answer fails the test. *)
 let test_budget_differential () =
   let doc = Document.of_xml (Lazy.force big_xml) in
   List.iter
     (fun query ->
       let c = Engine.prepare doc query in
-      Engine.precompile c;
       let oracle_ids = Array.to_list (Engine.select_preorders c) in
       let oracle_bytes =
         let buf = Buffer.create 256 in
@@ -293,31 +282,23 @@ let test_budget_differential () =
         Buffer.contents buf
       in
       List.iter
-        (fun l ->
-          let p = Lazy.force l in
-          List.iter
-            (fun max_steps ->
-              let label =
-                Printf.sprintf "%s pool=%d steps=%d" query (Pool.size p) max_steps
-              in
-              (match
-                 let b = Budget.create ~max_steps ~check_every:64 () in
-                 Array.to_list (Engine.select_preorders ~budget:b ~pool:p c)
-               with
-              | ids ->
-                Alcotest.(check (list int)) (label ^ " ids identical") oracle_ids ids
-              | exception Budget.Exceeded _ -> ());
-              match
-                let b = Budget.create ~max_steps ~check_every:64 () in
-                let buf = Buffer.create 256 in
-                ignore (Engine.serialize_to ~budget:b ~pool:p buf c);
-                Buffer.contents buf
-              with
-              | bytes ->
-                Alcotest.(check string) (label ^ " bytes identical") oracle_bytes bytes
-              | exception Budget.Exceeded _ -> ())
-            [ 1; 10; 100; 1_000; 100_000; 10_000_000 ])
-        pools)
+        (fun max_steps ->
+          let label = Printf.sprintf "%s steps=%d" query max_steps in
+          (match
+             let b = Budget.create ~max_steps ~check_every:64 () in
+             Array.to_list (Engine.select_preorders ~budget:b c)
+           with
+          | ids -> Alcotest.(check (list int)) (label ^ " ids identical") oracle_ids ids
+          | exception Budget.Exceeded _ -> ());
+          match
+            let b = Budget.create ~max_steps ~check_every:64 () in
+            let buf = Buffer.create 256 in
+            ignore (Engine.serialize_to ~budget:b buf c);
+            Buffer.contents buf
+          with
+          | bytes -> Alcotest.(check string) (label ^ " bytes identical") oracle_bytes bytes
+          | exception Budget.Exceeded _ -> ())
+        [ 1; 10; 100; 1_000; 100_000; 10_000_000 ])
     [ "//item"; "//item[flag]"; "//name[contains(., '9')]"; "//nonexistent" ]
 
 (* The starved end must actually trip (otherwise the differential above
@@ -325,19 +306,11 @@ let test_budget_differential () =
 let test_budget_differential_ends () =
   let doc = Document.of_xml (Lazy.force big_xml) in
   let c = Engine.prepare doc "//item" in
-  Engine.precompile c;
   let oracle = Engine.count c in
-  List.iter
-    (fun l ->
-      let p = Lazy.force l in
-      let b = Budget.create ~max_steps:1 ~check_every:1 () in
-      expect_exceeded Budget.Steps (fun () -> Engine.count ~budget:b ~pool:p c);
-      let b = Budget.create ~max_steps:100_000_000 () in
-      Alcotest.(check int)
-        (Printf.sprintf "generous completes at pool=%d" (Pool.size p))
-        oracle
-        (Engine.count ~budget:b ~pool:p c))
-    pools
+  let b = Budget.create ~max_steps:1 ~check_every:1 () in
+  expect_exceeded Budget.Steps (fun () -> Engine.count ~budget:b c);
+  let b = Budget.create ~max_steps:100_000_000 () in
+  Alcotest.(check int) "generous completes" oracle (Engine.count ~budget:b c)
 
 let suite =
   ( "qos",
@@ -361,7 +334,7 @@ let suite =
       Alcotest.test_case "engine: byte budget" `Quick test_engine_budget_bytes;
       Alcotest.test_case "engine: expired deadline does no work" `Quick
         test_engine_expired_deadline_no_work;
-      Alcotest.test_case "determinism: identical or Exceeded at sizes 1/2/4" `Slow
+      Alcotest.test_case "determinism: identical or Exceeded at any step limit" `Slow
         test_budget_differential;
       Alcotest.test_case "determinism: both ends reachable" `Quick
         test_budget_differential_ends;
