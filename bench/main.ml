@@ -79,36 +79,38 @@ let fm_table ~sample_rate () =
        sample_rate);
   let c = Lazy.force medline in
   let texts = Document.texts (Lazy.force c.doc) in
-  let tc = Sxsi_text.Text_collection.build ~sample_rate ~contains_cutoff:max_int texts in
-  let naive_time p =
-    H.time (fun () -> Sxsi_text.Text_collection.contains_via tc Sxsi_text.Text_collection.Plain_scan p)
-  in
+  let module TC = Sxsi_text.Text_collection in
+  let tc = TC.build ~sample_rate texts in
+  let name = function TC.Fm_locate -> "locate" | TC.Plain_scan -> "scan" in
   let rows =
     List.map
       (fun p ->
-        let gc, gt =
-          H.time_with_result (fun () -> Sxsi_text.Text_collection.global_count tc p)
-        in
-        let ids, ct =
-          H.time_with_result (fun () ->
-              Sxsi_text.Text_collection.contains_via tc Sxsi_text.Text_collection.Fm_locate p)
-        in
+        let gc, gt = H.time_with_result (fun () -> TC.global_count tc p) in
+        let ids, ct = H.time_with_result (fun () -> TC.contains_via tc TC.Fm_locate p) in
+        let st = H.time (fun () -> TC.contains_via tc TC.Plain_scan p) in
+        let rule = TC.contains_strategy tc p in
+        H.measure
+          [
+            ("pattern", J.String p);
+            ("sample_rate", J.Int sample_rate);
+            ("global_count", J.Int gc);
+            ("locate_ms", J.Float (ct *. 1e3));
+            ("scan_ms", J.Float (st *. 1e3));
+            ("rule", J.String (name rule));
+            ("faster", J.String (if ct <= st then "locate" else "scan"));
+          ];
         [
-          p;
-          string_of_int gc;
-          H.pp_ms gt;
-          string_of_int (List.length ids);
-          H.pp_ms ct;
-          H.pp_ms (naive_time p);
+          p; string_of_int gc; H.pp_ms gt; string_of_int (List.length ids); H.pp_ms ct;
+          H.pp_ms st; name rule;
         ])
-      fm_patterns
+      (fm_patterns @ medline_literals)
   in
   H.table
-    [ "pattern"; "GlobalCount"; "time"; "ContainsCount"; "FM time"; "plain scan" ]
+    [ "pattern"; "GlobalCount"; "time"; "ContainsCount"; "FM time"; "plain scan"; "rule" ]
     rows;
   Printf.printf "FM-index: %s for %s of text\n"
-    (H.pp_bytes (Sxsi_text.Text_collection.fm_space_bits tc / 8))
-    (H.pp_bytes (Sxsi_text.Text_collection.total_length tc))
+    (H.pp_bytes (TC.fm_space_bits tc / 8))
+    (H.pp_bytes (TC.total_length tc))
 
 (* ------------------------------------------------------------------ *)
 (* Table IV: construction times, pointer versus SXSI stores             *)
@@ -429,6 +431,22 @@ let fig15 () =
             (H.pp_ms tt, H.pp_ms (max 0.0 (t -. tt)))
           | Some _ | None -> ("-", "-")
         in
+        (* the deterministic ledger the CI gate compares *)
+        let tr = Sxsi_obs.Trace.create ~label:id () in
+        ignore (Engine.count ~trace:tr cq);
+        let counter name =
+          match List.assoc_opt name (Sxsi_obs.Trace.counters tr) with Some v -> v | None -> 0
+        in
+        H.measure
+          [
+            ("id", J.String id);
+            ("strategy", J.String strategy);
+            ("results", J.Int n);
+            ("oracle_results", J.Int nb);
+            ("visited", J.Int (counter "visited"));
+            ("fm_locate_calls", J.Int (counter "fm_locate_calls"));
+            ("ms", J.Float (t *. 1e3));
+          ];
         [
           id; strategy; string_of_int n; H.pp_ms t; text_t; auto_t; H.pp_ms tb;
           Printf.sprintf "%.0fx" (tb /. t);
@@ -1310,7 +1328,7 @@ let sections =
   [
     ("fig8", fig8);
     ("table2", fm_table ~sample_rate:64);
-    ("table3", fm_table ~sample_rate:4);
+    ("table3", fun () -> fm_table ~sample_rate:4 (); fm_table ~sample_rate:32 ());
     ("table4", table4);
     ("table5", table5);
     ("table6", table6);

@@ -131,6 +131,11 @@ let fm_patterns =
     "human"; "blood"; "from"; "with"; "in"; "a";
   ]
 
+(* The contains literals of the Medline battery, swept with the Table
+   II/III patterns to fit the scan-or-locate rule where queries use it. *)
+let medline_literals =
+  [ "foot"; "feet"; "plus"; "for"; "Nguyen"; "epididymis"; "blood cell"; "1999" ]
+
 (* Word-index registry over a document's texts. *)
 let ft_registry doc =
   let widx = lazy (Sxsi_wordindex.Word_index.build (Document.texts doc)) in

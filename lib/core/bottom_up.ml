@@ -12,6 +12,8 @@ type plan = {
   steps : step array;     (* chain, predicates stripped *)
   result_idx : int;
   pred : Sxsi_auto.Automaton.pred_descr;
+  string_value : bool;    (* contains over the last step's string-value:
+                             every ancestor of a hit text matches *)
 }
 
 (* Flatten a step list into (chain, predicate), accepting only
@@ -63,29 +65,43 @@ let plan doc (path : path) =
       let steps = Array.of_list chain in
       let result_idx = List.length path.steps - 1 in
       let last = steps.(Array.length steps - 1) in
-      (* one matching text must pin down one candidate node; attribute
-         nodes always hold exactly one value *)
-      let target_ok =
-        match (last.axis, last.test) with
-        | Attribute, (Star | Name _ | Node) -> true
-        | Attribute, Text -> false
-        | _, Text -> true
-        | _, Name n -> begin
+      (* one matching text pins down one candidate node for attributes,
+         text nodes and PCDATA-only tags *)
+      let pcdata_name =
+        match last.test with
+        | Name n -> begin
           match Document.tag_id doc n with
           | Some tg -> Document.tag_is_pcdata doc tg
           | None -> true (* unknown tag: no results either way *)
         end
-        | _, (Star | Node) -> false
+        | Star | Node | Text -> false
+      in
+      (* contains(., P) holds on every ancestor of a node it holds on, so
+         any element (or node()) step can start from the hit texts *)
+      let string_value =
+        last.axis <> Attribute && last.test <> Text && not pcdata_name
+        &&
+        match pred with
+        | Sxsi_auto.Automaton.Text_pred (Contains, lit) -> lit <> ""
+        | Sxsi_auto.Automaton.Text_pred _ | Sxsi_auto.Automaton.Custom_pred _ -> false
+      in
+      let target_ok =
+        match (last.axis, last.test) with
+        | Attribute, Text -> false
+        | Attribute, (Star | Name _ | Node) | _, Text -> true
+        | _, (Star | Name _ | Node) -> pcdata_name || string_value
       in
       (* attribute steps are only supported in final position *)
       let attrs_ok =
         Array.for_all (fun s -> s.axis <> Attribute)
           (Array.sub steps 0 (Array.length steps - 1))
       in
-      if target_ok && attrs_ok then Some { steps; result_idx; pred } else None
+      if target_ok && attrs_ok then Some { steps; result_idx; pred; string_value }
+      else None
   end
 
 let pred_of p = p.pred
+let reads_string_value p = p.string_value
 
 let matches_empty_value ?(funs = fun _ -> None) p =
   match p.pred with
@@ -93,23 +109,25 @@ let matches_empty_value ?(funs = fun _ -> None) p =
   | Sxsi_auto.Automaton.Custom_pred (name, arg) ->
     (Run.custom_fn funs name arg).Run.cp_match ""
 
-let test_ok doc (step : step) x =
-  let tg = Document.tag_of doc x in
+(* The node test of a step, as a test on tags with the name resolved
+   once. *)
+let tag_test doc (step : step) =
+  let is tg' = fun tg -> tg = tg' in
   match step.axis with
   | Attribute -> begin
     match step.test with
-    | Star | Node -> Document.is_attribute_tag doc tg
-    | Name n -> Document.attribute_tag_id doc n = Some tg
-    | Text -> false
+    | Star | Node -> Document.is_attribute_tag doc
+    | Name n -> (match Document.attribute_tag_id doc n with Some a -> is a | None -> fun _ -> false)
+    | Text -> fun _ -> false
   end
   | Self | Child | Descendant | Following_sibling -> begin
     match step.test with
-    | Star -> Document.is_element_tag doc tg
-    | Name n -> Document.tag_id doc n = Some tg
-    | Text -> tg = Document.text_tag
+    | Star -> Document.is_element_tag doc
+    | Name n -> (match Document.tag_id doc n with Some a -> is a | None -> fun _ -> false)
+    | Text -> is Document.text_tag
     | Node ->
-      Document.is_element_tag doc tg
-      || tg = Document.text_tag || tg = Document.root_tag
+      fun tg ->
+        Document.is_element_tag doc tg || tg = Document.text_tag || tg = Document.root_tag
   end
 
 (* Whole-query static feasibility, the bottom-up counterpart of the
@@ -137,23 +155,107 @@ let chain_feasible doc p =
   done;
   !ok
 
+(* KMP failure table: longest proper border of [lit.[0..i]]. *)
+let kmp_fail lit =
+  let m = String.length lit in
+  let f = Array.make m 0 in
+  let k = ref 0 in
+  for i = 1 to m - 1 do
+    while !k > 0 && lit.[!k] <> lit.[i] do
+      k := f.(!k - 1)
+    done;
+    if lit.[!k] = lit.[i] then incr k;
+    f.(i) <- !k
+  done;
+  f
+
+(* The lowest node whose string-value holds a match of [lit] that ends
+   in text [j] and starts in an earlier text.  Such a match lies in the
+   window made of the last |lit| - 1 characters before [j] and the first
+   |lit| - 1 characters of [j]; the last match in that window starts in
+   the latest text, so its LCA with [j] is the lowest.  Attribute values
+   are not part of an element's string-value
+   ({!Document.iter_string_value}) and are skipped. *)
+let straddle_lca doc fail lit j =
+  let m = String.length lit in
+  let leaf d = Document.leaf_of_text doc d in
+  let is_value d = Document.tag_of doc (leaf d) = Document.attval_tag in
+  if is_value j then None
+  else begin
+    (* (text, the part of it in the window), earliest first *)
+    let rec back d need acc =
+      if d < 0 || need <= 0 then acc
+      else if is_value d then back (d - 1) need acc
+      else begin
+        let s = Document.get_text doc d in
+        let n = String.length s in
+        back (d - 1) (need - n) ((d, if n > need then String.sub s (n - need) need else s) :: acc)
+      end
+    in
+    let pieces = back (j - 1) (m - 1) [] in
+    let tail = Document.get_text doc j in
+    (* neither side of the window holds |lit| characters, so every
+       match in it straddles into [j] *)
+    let w =
+      String.concat "" (List.map snd pieces @ [ String.sub tail 0 (min (String.length tail) (m - 1)) ])
+    in
+    let last_end = ref (-1) and k = ref 0 in
+    String.iteri
+      (fun i c ->
+        while !k > 0 && lit.[!k] <> c do
+          k := fail.(!k - 1)
+        done;
+        if lit.[!k] = c then incr k;
+        if !k = m then begin
+          last_end := i;
+          k := fail.(m - 1)
+        end)
+      w;
+    if !last_end < 0 then None
+    else begin
+      let rec first_text off = function
+        | (d, s) :: rest ->
+          if !last_end - m + 1 < off + String.length s then d
+          else first_text (off + String.length s) rest
+        | [] -> assert false
+      in
+      let li = leaf (first_text 0 pieces) in
+      (* the LCA: the first ancestor of [j]'s leaf that opens before [li] *)
+      let rec up y = if y <= li then y else up (Tree_backend.parent (Document.tree doc) y) in
+      Some (up (leaf j))
+    end
+  end
+
 let run_with_text_time ?budget ?(funs = fun _ -> None) doc p =
   if not (chain_feasible doc p) then (0.0, [])
   else begin
   let bp = Document.tree doc in
+  let parent = Tree_backend.parent bp in
   let k = Array.length p.steps in
   let r = p.result_idx in
-  (* One step per candidate text: each verification walks a root path
-     of bounded depth, so per-candidate granularity keeps the check
-     off the inner memoized recursions while still bounding the
-     scan-shaped outer loop. *)
+  (* One step per candidate text and per propagated node: each
+     verification walks a root path of bounded depth, so this
+     granularity keeps the check off the inner memoized recursions while
+     still bounding the scan-shaped outer loops. *)
   let bcheck =
     match budget with
     | None -> fun () -> ()
     | Some b -> fun () -> Sxsi_qos.Budget.check b
   in
+  let tests = Array.map (tag_test doc) p.steps in
+  let test_ok i x = tests.(i) (Document.tag_of doc x) in
+  let lit =
+    match p.pred with
+    | Sxsi_auto.Automaton.Text_pred (_, lit) -> lit
+    | Sxsi_auto.Automaton.Custom_pred _ -> ""
+  in
   let t0 = Unix.gettimeofday () in
   let texts = Run.text_set_of_pred doc funs p.pred in
+  let tails =
+    if p.string_value then
+      Array.of_list (Sxsi_text.Text_collection.straddle_tails (Document.text doc) lit)
+    else [||]
+  in
   let text_time = Unix.gettimeofday () -. t0 in
   (* upward verification, shared across candidates: can [x] serve as
      the chain's step [i], with steps 0..i-1 assigned to ancestors? *)
@@ -166,99 +268,107 @@ let run_with_text_time ?budget ?(funs = fun _ -> None) doc p =
     | Some b -> b
     | None ->
       let b =
-        test_ok doc p.steps.(i) x
+        test_ok i x
         &&
         if i = 0 then begin
           match p.steps.(0).axis with
-          | Child -> Tree_backend.parent bp x = Document.root doc
+          | Child -> parent x = Document.root doc
           | Descendant -> x <> Document.root doc
           | Self | Attribute | Following_sibling -> false
         end
         else begin
           match p.steps.(i).axis with
-          | Child -> up_ok (i - 1) (Tree_backend.parent bp x)
+          | Child -> up_ok (i - 1) (parent x)
           | Descendant ->
-            let rec up y = y >= 0 && (up_ok (i - 1) y || up (Tree_backend.parent bp y)) in
-            up (Tree_backend.parent bp x)
+            let rec up y = y >= 0 && (up_ok (i - 1) y || up (parent y)) in
+            up (parent x)
           | Attribute ->
             (* the owner element: above the attribute's "@" list node *)
-            let at = Tree_backend.parent bp x in
-            at >= 0 && up_ok (i - 1) (Tree_backend.parent bp at)
+            let at = parent x in
+            at >= 0 && up_ok (i - 1) (parent at)
           | Self | Following_sibling -> false
         end
       in
       Hashtbl.replace memo key b;
       b
   in
-  let results = ref [] in
-  for ti = 0 to Array.length texts - 1 do
-    bcheck ();
-    let d = texts.(ti) in
-    let leaf = Document.leaf_of_text doc d in
-    let candidate =
-      if p.steps.(k - 1).axis = Attribute then begin
-        (* matched value leaf must be a "%" under an attribute node *)
-        if Document.tag_of doc leaf = Document.attval_tag then
-          Some (Tree_backend.parent bp leaf)
-        else None
-      end
-      else begin
-        match p.steps.(k - 1).test with
-        | Text ->
-          if Document.tag_of doc leaf = Document.text_tag then Some leaf else None
-        | Star | Name _ | Node ->
-          let parent = Tree_backend.parent bp leaf in
-          if parent >= 0
-             && Document.tag_of doc leaf = Document.text_tag
-             && Document.pcdata_only doc parent
-          then Some parent
-          else None
+  (* the nodes that can serve the last step *)
+  let level : (int, unit) Hashtbl.t = Hashtbl.create 256 in
+  let offer x = if x >= 0 && test_ok (k - 1) x then Hashtbl.replace level x () in
+  let last = p.steps.(k - 1) in
+  if p.string_value then begin
+    (* a hit text and every ancestor of it match; so does every ancestor
+       of a straddling match's LCA.  Each walk stops at the first node
+       already marked, so marking costs O(texts + marked nodes). *)
+    let marked : (int, unit) Hashtbl.t = Hashtbl.create 256 in
+    let rec mark x =
+      if x >= 0 && not (Hashtbl.mem marked x) then begin
+        Hashtbl.add marked x ();
+        offer x;
+        mark (parent x)
       end
     in
-    match candidate with
-    | None -> ()
-    | Some x_last ->
-      (* ancestors of the candidate, chain order A.(0) = candidate *)
-      let ancestors =
-        let rec go y acc = if y < 0 then List.rev acc else go (Tree_backend.parent bp y) (y :: acc) in
-        Array.of_list (go x_last [])
-      in
-      let depth = Array.length ancestors in
-      (* down_ok j idx: ancestors.(idx) serves as step j, with steps
-         j+1..k-1 assigned strictly below it on this root path *)
-      let down_memo = Hashtbl.create 16 in
-      let rec down_ok j idx =
-        let key = (j * depth) + idx in
-        match Hashtbl.find_opt down_memo key with
-        | Some b -> b
-        | None ->
-          let b =
-            test_ok doc p.steps.(j) ancestors.(idx)
-            &&
-            (if j = k - 1 then idx = 0
-             else begin
-               match p.steps.(j + 1).axis with
-               | Child -> idx > 0 && down_ok (j + 1) (idx - 1)
-               | Descendant ->
-                 let rec any idx' =
-                   idx' >= 0 && (down_ok (j + 1) idx' || any (idx' - 1))
-                 in
-                 any (idx - 1)
-               | Attribute ->
-                 (* attribute of this element: two levels down via "@" *)
-                 idx > 1 && down_ok (j + 1) (idx - 2)
-               | Self | Following_sibling -> false
-             end)
+    Array.iter
+      (fun d ->
+        bcheck ();
+        let leaf = Document.leaf_of_text doc d in
+        if Document.tag_of doc leaf = Document.text_tag then mark leaf)
+      texts;
+    let fail = kmp_fail lit in
+    Array.iter
+      (fun d ->
+        bcheck ();
+        Option.iter mark (straddle_lca doc fail lit d))
+      tails
+  end
+  else
+    Array.iter
+      (fun d ->
+        bcheck ();
+        let leaf = Document.leaf_of_text doc d in
+        let tg = Document.tag_of doc leaf in
+        match (last.axis, last.test) with
+        | Attribute, _ ->
+          (* matched value leaf must be a "%" under an attribute node *)
+          if tg = Document.attval_tag then offer (parent leaf)
+        | _, Text -> if tg = Document.text_tag then offer leaf
+        | _, (Star | Name _ | Node) ->
+          let x = parent leaf in
+          if x >= 0 && tg = Document.text_tag && Document.pcdata_only doc x then offer x)
+      texts;
+  (* Down to the answer step: the nodes serving step [j - 1] are those
+     that reach a node serving step [j] through step [j]'s axis.  A
+     descendant walk stops at the first node an earlier walk of the
+     same level passed. *)
+  let level = ref level in
+  for j = k - 1 downto r + 1 do
+    let cur = !level in
+    let next = Hashtbl.create 64 and walked = Hashtbl.create 64 in
+    let offer y = if y >= 0 && test_ok (j - 1) y then Hashtbl.replace next y () in
+    Hashtbl.iter
+      (fun z () ->
+        bcheck ();
+        match p.steps.(j).axis with
+        | Child -> offer (parent z)
+        | Attribute ->
+          (* the owner element: above the attribute's "@" list node *)
+          let at = parent z in
+          if at >= 0 then offer (parent at)
+        | Descendant ->
+          let rec up y =
+            if y >= 0 && not (Hashtbl.mem walked y) then begin
+              Hashtbl.add walked y ();
+              offer y;
+              up (parent y)
+            end
           in
-          Hashtbl.replace down_memo key b;
-          b
-      in
-      (for idx = 0 to depth - 1 do
-         if down_ok r idx && up_ok r ancestors.(idx) then
-           results := ancestors.(idx) :: !results
-       done)
+          up (parent z)
+        | Self | Following_sibling -> ())
+      cur;
+    level := next
   done;
-  (text_time, List.sort_uniq compare !results)
+  let results = Hashtbl.fold (fun x () acc -> if up_ok r x then x :: acc else acc) !level [] in
+  (text_time, List.sort compare results)
   end
 
 let run ?budget ?funs doc p = snd (run_with_text_time ?budget ?funs doc p)

@@ -101,13 +101,18 @@ let precompile ?trace c =
       maybe_time trace Trace.Compile (fun () ->
           List.iter (fun b -> ignore (Lazy.force b.auto)) c))
 
-(* Cheap selectivity estimate for the predicate of a bottom-up plan. *)
+(* Cheap selectivity estimate for the predicate of a bottom-up plan.  A
+   string-value plan also verifies every straddle tail, so those count
+   as candidates too. *)
 let estimate_matches doc plan =
   let tc = Document.text doc in
   let open Sxsi_xpath.Ast in
   match Bottom_up.pred_of plan with
   | Automaton.Text_pred (op, lit) -> begin
     match op with
+    | Contains when Bottom_up.reads_string_value plan ->
+      Sxsi_text.Text_collection.global_count tc lit
+      + Sxsi_text.Text_collection.straddle_tails_count tc lit
     | Contains -> Sxsi_text.Text_collection.global_count tc lit
     | Eq -> Sxsi_text.Text_collection.equals_count tc lit
     | Starts_with -> Sxsi_text.Text_collection.starts_with_count tc lit

@@ -1,7 +1,8 @@
 (** Public query interface of SXSI: parse/compile once, then count,
     materialize or serialize, with the evaluation strategy of §6.6:
-    selective single-text predicates of the right shape run bottom-up
-    from the text index; everything else runs the top-down automaton.
+    selective single-text predicates of the right shape, and
+    [contains(., P)] over string-values, run bottom-up from the text
+    index; everything else runs the top-down automaton.
 
     Custom predicates (the [PSSM(...)] hook of §6.7) are supplied
     through a {!Run.text_funs} registry. *)
@@ -41,7 +42,8 @@ val chosen_strategy :
   ?funs:Run.text_funs -> ?strategy:strategy -> compiled -> [ `Top_down | `Bottom_up ]
 (** The strategy [Auto] resolves to, following the paper's rule: a
     bottom-up-shaped query runs bottom-up when the text predicate
-    selects fewer texts than the rarest step tag occurs. *)
+    selects fewer texts than the rarest step tag occurs.  A string-value
+    [contains] counts its straddle tails as selected texts too. *)
 
 (** {1 Evaluation}
 

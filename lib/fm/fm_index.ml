@@ -199,6 +199,32 @@ let search_within t p sp0 ep0 =
 
 let search t p = search_within t p 0 t.n
 
+(* One backward search over [p]: after step [i] the range holds the rows
+   prefixed by the suffix [p.[i..]], so every suffix comes out of one
+   pass of [|p|] steps. *)
+let search_suffixes t p f =
+  let bdg = Sxsi_qos.Budget.ambient () in
+  let sp = ref 0 and ep = ref t.n and steps = ref 0 in
+  (try
+     for i = String.length p - 1 downto 0 do
+       budget_step bdg;
+       incr steps;
+       let ch = p.[i] in
+       if ch = '\000' then raise Exit;
+       let base = t.c.(Char.code ch) in
+       let rsp, rep = Wavelet.rank2 t.bwt ch !sp !ep in
+       sp := base + rsp;
+       ep := base + rep;
+       if !ep <= !sp then raise Exit;
+       f i !sp !ep
+     done
+   with Exit -> ());
+  match Atomic.get active_probe with
+  | None -> ()
+  | Some pr ->
+    Sxsi_obs.Counter.incr pr.search_calls;
+    Sxsi_obs.Counter.add pr.search_steps !steps
+
 let bounds t p =
   let sp = ref 0 and ep = ref t.n in
   for i = String.length p - 1 downto 0 do

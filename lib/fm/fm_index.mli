@@ -40,6 +40,12 @@ val search_within : t -> string -> int -> int -> int * int
     row range [\[sp, ep)] instead of the full range (used by
     [ends-with], §3.2). *)
 
+val search_suffixes : t -> string -> (int -> int -> int -> unit) -> unit
+(** [search_suffixes t p f] runs one backward search over [p] and calls
+    [f i sp ep] with the non-empty row range of each suffix [p.[i..]],
+    for [i] from [|p| - 1] down, stopping at the first suffix that does
+    not occur. *)
+
 val count : t -> string -> int
 (** Number of occurrences of [p] in the whole collection. *)
 

@@ -15,7 +15,6 @@ type t = {
                                   dummy empty text when d = 0 *)
   fm : Fm_index.t;
   stored : stored;
-  contains_cutoff : int;
   (* the Doc sequence as a wavelet tree, built on the first
      range-restricted query (the general form of §3.2, after [46]) *)
   doc_wavelet : Sxsi_bits.Int_wavelet.t option ref;
@@ -23,8 +22,7 @@ type t = {
 
 type contains_strategy = Fm_locate | Plain_scan
 
-let build ?pool ?(sample_rate = 64) ?(store_plain = true) ?store
-    ?(contains_cutoff = 10_000) texts =
+let build ?pool ?(sample_rate = 64) ?(store_plain = true) ?store texts =
   let d = Array.length texts in
   let store =
     match store with
@@ -39,7 +37,6 @@ let build ?pool ?(sample_rate = 64) ?(store_plain = true) ?store
       | Plain_store -> SPlain (Array.copy texts)
       | Lz78_store -> SLz78 (Lz78.of_texts texts)
       | No_store -> SNone);
-    contains_cutoff;
     doc_wavelet = ref None;
   }
 
@@ -79,12 +76,13 @@ let occurs_in p =
       let i = ref 0 in
       try
         while !i <= n - m do
+          (* in bounds: !i + m <= n and !j < m *)
           let j = ref (m - 1) in
-          while !j >= 0 && text.[!i + !j] = p.[!j] do
+          while !j >= 0 && String.unsafe_get text (!i + !j) = String.unsafe_get p !j do
             decr j
           done;
-          if !j < 0 then raise Found;
-          i := !i + shift.(Char.code text.[!i + m - 1])
+          if !j < 0 then raise_notrace Found;
+          i := !i + Array.unsafe_get shift (Char.code (String.unsafe_get text (!i + m - 1)))
         done;
         false
       with Found -> true
@@ -114,10 +112,27 @@ let contains_plain t p =
   done;
   !ids
 
+(* Scan or locate, whichever the cost model says is cheaper.  Locating
+   one occurrence walks LF back to a sampled text position: [l/2 + 1]
+   steps on average, each a wavelet access plus a rank.  A scan reads
+   the whole store once, and Horspool's shifts make it faster for longer
+   patterns: about [(1 + 4/|p|)] units per byte.  [lf_step_units] is one
+   LF step in those units.  On the Table II/III sweep at l = 4, 32 and
+   64 (EXPERIMENTS.md) a step costs 340-370 ns and a unit 0.76-0.93 ns;
+   390 loses the least time against the faster strategy over the whole
+   sweep. *)
+let lf_step_units = 390.
+
 let contains_strategy t p =
   match t.stored with
-  | (SPlain _ | SLz78 _) when global_count t p > t.contains_cutoff -> Plain_scan
-  | SPlain _ | SLz78 _ | SNone -> Fm_locate
+  | SNone -> Fm_locate
+  | SPlain _ | SLz78 _ ->
+    let m = float_of_int (String.length p) in
+    let steps =
+      float_of_int (global_count t p) *. float_of_int ((Fm_index.sample_rate t.fm / 2) + 1)
+    in
+    let scan = float_of_int (total_length t) *. (1. +. (4. /. m)) in
+    if steps *. lf_step_units > scan then Plain_scan else Fm_locate
 
 let contains_via t strategy p =
   if String.length p = 0 then []
@@ -133,6 +148,24 @@ let contains t p =
 
 let contains_count t p = List.length (contains t p)
 let contains_exists t p = contains t p <> []
+
+(* A match of [p] that straddles several texts ends in a text that
+   starts with a proper suffix [p.[i..]], 0 < i < |p|.  One backward
+   search yields every suffix's rows; the end-marker rows among them are
+   those texts, so no occurrence is located. *)
+let straddle_tails t p =
+  let ids = ref [] in
+  if t.d > 0 then
+    Fm_index.search_suffixes t.fm p (fun i sp ep ->
+        if i > 0 then Fm_index.iter_dollar_docs t.fm sp ep (fun id -> ids := id :: !ids));
+  sorted_unique !ids
+
+let straddle_tails_count t p =
+  let n = ref 0 in
+  if t.d > 0 then
+    Fm_index.search_suffixes t.fm p (fun i sp ep ->
+        if i > 0 then n := !n + Fm_index.dollar_count_in t.fm sp ep);
+  !n
 
 (* ------------------------------------------------------------------ *)
 (* starts-with / equals / ends-with (§3.2)                              *)
@@ -235,33 +268,30 @@ let ends_with_in t p ~lo ~hi = in_range lo hi (ends_with t p)
 (* Lexicographic comparisons                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* A text row (BWT symbol = end-marker) sorts below every rotation
-   starting with p exactly when its text is lexicographically smaller
-   than p: rows below the insertion point [sp] of [bounds]. *)
-let less_than t p =
-  if t.d = 0 then [] else
-  let sp, _ = Fm_index.bounds t.fm p in
-  let ids = ref [] in
-  Fm_index.iter_dollar_docs t.fm 0 sp (fun id -> ids := id :: !ids);
-  sorted_unique !ids
+(* Text rows (BWT symbol = end-marker) sort in text order.  Those below
+   the insertion point [sp] of [bounds] hold texts smaller than p.  The
+   next [ends_with_count p] rows are prefixed by p and a terminator, so
+   the text rows among them hold texts equal to p.  Every text row above
+   those holds a text greater than p. *)
+let below_lt t p = fst (Fm_index.bounds t.fm p)
+let below_le t p = below_lt t p + ends_with_count t p
 
-let less_than_count t p =
-  if t.d = 0 then 0 else
-  let sp, _ = Fm_index.bounds t.fm p in
-  Fm_index.dollar_count_in t.fm 0 sp
+let text_rows t sp ep =
+  if t.d = 0 then [] else begin
+    let ids = ref [] in
+    Fm_index.iter_dollar_docs t.fm sp ep (fun id -> ids := id :: !ids);
+    sorted_unique !ids
+  end
 
-let less_equal t p = sorted_unique (less_than t p @ equals t p)
-let less_equal_count t p = less_than_count t p + equals_count t p
+let text_row_count t sp ep = if t.d = 0 then 0 else Fm_index.dollar_count_in t.fm sp ep
+let n_rows t = Fm_index.length t.fm
 
-let all_ids t = List.init (doc_count t) (fun i -> i)
-
-let greater_equal t p =
-  let lt = less_than t p in
-  List.filter (fun i -> not (List.mem i lt)) (all_ids t)
-
-let greater_than t p =
-  let le = less_equal t p in
-  List.filter (fun i -> not (List.mem i le)) (all_ids t)
+let less_than t p = text_rows t 0 (below_lt t p)
+let less_equal t p = text_rows t 0 (below_le t p)
+let greater_equal t p = text_rows t (below_lt t p) (n_rows t)
+let greater_than t p = text_rows t (below_le t p) (n_rows t)
+let less_than_count t p = text_row_count t 0 (below_lt t p)
+let less_equal_count t p = text_row_count t 0 (below_le t p)
 
 (* ------------------------------------------------------------------ *)
 

@@ -16,14 +16,12 @@ type store =
   | No_store      (** extraction through the FM-index only *)
 
 val build : ?pool:Sxsi_par.Pool.t -> ?sample_rate:int -> ?store_plain:bool ->
-  ?store:store -> ?contains_cutoff:int -> string array -> t
+  ?store:store -> string array -> t
 (** [build texts] indexes the collection.  The secondary text store
     (§3.4) defaults to [Plain_store]; [store_plain:false] is a shorthand
-    for [No_store], and an explicit [store] wins over it.
-    [contains_cutoff] (default [10_000]) is the global occurrence count
-    beyond which [contains] switches from FM locating to scanning the
-    stored copy, when one exists.  [pool] parallelizes the underlying
-    {!Sxsi_fm.Fm_index.build} without changing its result. *)
+    for [No_store], and an explicit [store] wins over it.  [pool]
+    parallelizes the underlying {!Sxsi_fm.Fm_index.build} without
+    changing its result. *)
 
 val doc_count : t -> int
 val total_length : t -> int
@@ -44,8 +42,20 @@ val global_count : t -> string -> int
 (** {1 XPath predicates} *)
 
 val contains : t -> string -> int list
+(** Texts containing the pattern, found by locating its occurrences or
+    by scanning the stored copy, per {!contains_strategy}. *)
+
 val contains_count : t -> string -> int
 val contains_exists : t -> string -> bool
+
+val straddle_tails : t -> string -> int list
+(** Texts that start with a proper non-empty suffix of the pattern: the
+    last text of any occurrence that runs across several texts.  Read off
+    end-marker rows, with no locate. *)
+
+val straddle_tails_count : t -> string -> int
+(** Sum over the proper suffixes of the texts each starts: an upper
+    bound on [List.length (straddle_tails t p)], in [O(|p| log sigma)]. *)
 
 val equals : t -> string -> int list
 val equals_count : t -> string -> int
@@ -72,6 +82,9 @@ val ends_with_in : t -> string -> lo:int -> hi:int -> int list
 
 (** {1 Lexicographic operators} *)
 
+(** Each reads the texts off one contiguous range of end-marker rows,
+    in [O(|p| log sigma)] plus [O(log sigma)] per reported text. *)
+
 val less_than : t -> string -> int list
 (** Texts strictly smaller than the pattern. *)
 
@@ -86,10 +99,13 @@ val less_equal_count : t -> string -> int
 type contains_strategy = Fm_locate | Plain_scan
 
 val contains_strategy : t -> string -> contains_strategy
-(** The strategy [contains] would pick for this pattern. *)
+(** The strategy [contains] picks for this pattern: [Plain_scan] when a
+    store exists and locating every occurrence ({!global_count} times
+    about half the index's sample rate in LF steps) would cost more than
+    scanning {!total_length} bytes at the pattern's Horspool skip. *)
 
 val contains_via : t -> contains_strategy -> string -> int list
-(** Force a strategy (used by the Table II/III cutoff experiment). *)
+(** Force a strategy (used by the Table II/III crossover experiment). *)
 
 val space_bits : t -> int
 val fm_space_bits : t -> int

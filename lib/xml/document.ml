@@ -298,7 +298,7 @@ let of_xml ?pool ?backend ?(keep_whitespace = true) ?(sample_rate = 32)
 
 let build = of_xml
 
-(* Container format v4: magic, one length byte + backend tag name,
+(* Container format v5: magic, one length byte + backend tag name,
    8-byte big-endian payload length, MD5 digest of the payload, payload
    (the marshalled [t]).  The length and digest let [load] reject
    truncated or corrupt files with a clean [Failure] instead of handing
@@ -308,8 +308,9 @@ let build = of_xml
    error — without unmarshalling the payload.  v4 bumps v3 for the
    broadword [Bitvec] layout: the marshalled record shape changed
    (interleaved rank directories + select samples), so v3 payloads no
-   longer unmarshal into the current types. *)
-let magic = "SXSI-INDEX-v4\n"
+   longer unmarshal into the current types.  v5 bumps v4 because the
+   text collection lost its [contains_cutoff] field. *)
+let magic = "SXSI-INDEX-v5\n"
 let old_magic_prefix = "SXSI-INDEX-v"
 
 let backend_name t = Tree_backend.kind_name t.tree
@@ -344,7 +345,7 @@ let load path =
         if String.length m >= String.length old_magic_prefix
            && String.sub m 0 (String.length old_magic_prefix) = old_magic_prefix
         then corrupt "unsupported index version (re-index with this build)"
-        else corrupt "bad magic (not an SXSI v4 index)";
+        else corrupt "bad magic (not an SXSI v5 index)";
       if avail < String.length magic + 1 then corrupt "truncated header";
       let bk_len = input_byte ic in
       if avail < String.length magic + 1 + bk_len + 8 + 16 then

@@ -194,12 +194,18 @@ let test_bottom_up_plan_shapes () =
   Alcotest.(check bool) "selective contains" true (has_plan "//name[contains(., 'x')]");
   Alcotest.(check bool) "equality" true (has_plan "//city[. = 'Springfield']");
   Alcotest.(check bool) "text target" true (has_plan "//text()[contains(., 'x')]");
-  (* keyword under listitem has an emph child somewhere: not PCDATA-only *)
-  Alcotest.(check bool) "non-pcdata tag" false (has_plan "//keyword[contains(., 'x')]");
+  (* keyword under listitem has an emph child somewhere: not PCDATA-only,
+     so only contains, which every ancestor of a hit inherits, runs
+     bottom-up over its string-value *)
+  Alcotest.(check bool) "non-pcdata tag" false (has_plan "//keyword[starts-with(., 'x')]");
+  Alcotest.(check bool) "non-pcdata contains" true (has_plan "//keyword[contains(., 'x')]");
   Alcotest.(check bool) "intermediate filter" false
     (has_plan "//person[phone]/name[contains(., 'x')]");
   Alcotest.(check bool) "structural pred" false (has_plan "//person[name]");
-  Alcotest.(check bool) "star target" false (has_plan "//*[contains(., 'x')]");
+  Alcotest.(check bool) "star target" false (has_plan "//*[. = 'x']");
+  Alcotest.(check bool) "star contains" true (has_plan "//*[contains(., 'x')]");
+  Alcotest.(check bool) "node() contains" true (has_plan "//a/node()[contains(., 'x')]");
+  Alcotest.(check bool) "empty literal" false (has_plan "//*[contains(., '')]");
   Alcotest.(check bool) "attribute value" true (has_plan "//person[@id = 'p2']");
   Alcotest.(check bool) "attribute target" true (has_plan "//@id[starts-with(., 'p')]")
 
@@ -415,6 +421,21 @@ let test_m11_structure () =
     Alcotest.failf "stateset.cons taken %d times for %d states (visited %d)" taken states
       visited
 
+(* The string-value queries of the battery start from the text index:
+   no automaton run, so no visited node. *)
+let test_m10_m11_bottom_up () =
+  let doc = Document.of_xml (Lazy.force medline_xml) in
+  List.iter
+    (fun q ->
+      let c = Engine.prepare doc q in
+      Alcotest.(check bool) (q ^ " picks bottom-up") true (Engine.chosen_strategy c = `Bottom_up);
+      let tr = Sxsi_obs.Trace.create ~label:q () in
+      let n = Engine.count ~trace:tr c in
+      let counter name = List.assoc name (Sxsi_obs.Trace.counters tr) in
+      Alcotest.(check int) (q ^ " visits nothing") 0 (counter "visited");
+      Alcotest.(check int) (q ^ " counts like top-down") (Engine.count ~strategy:Engine.Top_down c) n)
+    [ List.nth medline_battery 9; List.nth medline_battery 10 ]
+
 (* ------------------------------------------------------------------ *)
 (* Random documents x random queries vs the oracle                      *)
 (* ------------------------------------------------------------------ *)
@@ -542,6 +563,60 @@ let prop_engine_vs_oracle =
       td = expected && auto = expected && naive = expected
       && cnt = List.length expected))
 
+(* String-value contains from the text index: tiny texts over {a,b}
+   (empty ones vanish in the parse), mixed content, attributes inside
+   mixed elements and nesting make matches that straddle texts common.
+   Every strategy must agree with the oracle on both backends, raw and
+   optimized. *)
+let gen_ab_xml : string QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let ab n = string_size ~gen:(oneofl [ 'a'; 'b' ]) (int_range 0 n) in
+  let rec elem depth =
+    let* name = oneofl [ "a"; "b"; "c" ] in
+    let* attrs =
+      frequency [ (2, return []); (1, map (fun v -> [ ("k", v) ]) (ab 3)) ]
+    in
+    let* kids =
+      if depth >= 3 then return []
+      else
+        list_size (int_range 0 4)
+          (frequency [ (3, map (fun t -> `T t) (ab 3)); (2, map (fun e -> `E e) (elem (depth + 1))) ])
+    in
+    let attrs = String.concat "" (List.map (fun (a, v) -> Printf.sprintf " %s=\"%s\"" a v) attrs) in
+    let body = String.concat "" (List.map (function `T t | `E t -> t) kids) in
+    return (Printf.sprintf "<%s%s>%s</%s>" name attrs body name)
+  in
+  elem 0
+
+let gen_string_value_query : string QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let* lit = string_size ~gen:(oneofl [ 'a'; 'b' ]) (int_range 1 4) in
+  let* name = oneofl [ "a"; "b"; "c" ] in
+  let* path = oneofl [ "//*"; "//*/*"; "//" ^ name; "//a//b"; "//a/node()" ] in
+  return (Printf.sprintf "%s[contains(., \"%s\")]" path lit)
+
+let prop_string_value_contains =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:150 ~name:"string-value contains: every strategy = oracle"
+       ~print:(fun (xml, query) -> Printf.sprintf "xml: %s\nquery: %s" xml query)
+       QCheck2.Gen.(pair gen_ab_xml gen_string_value_query)
+       (fun (xml, query) ->
+         let expected = Naive_eval.eval_ids (Dom.of_xml xml) (parse query) in
+         List.for_all
+           (fun backend ->
+             let doc = Document.of_xml ~backend xml in
+             List.for_all
+               (fun optimize ->
+                 let c = Engine.prepare ~optimize doc query in
+                 Engine.bottom_up_plan c <> None
+                 && List.for_all
+                      (fun strategy ->
+                        Array.to_list (Engine.select_preorders ~strategy c) = expected
+                        && Engine.count ~strategy c = List.length expected)
+                      [ Engine.Auto; Engine.Bottom_up; Engine.Top_down ])
+               [ false; true ])
+           [ `Bp; `Grammar ]))
+
 let suite =
   ( "engine",
     unit_cases
@@ -558,5 +633,7 @@ let suite =
         Alcotest.test_case "mixed-content string values" `Quick test_straddle_values;
         Alcotest.test_case "medline battery" `Quick test_medline_battery;
         Alcotest.test_case "M11 jumps and locks" `Quick test_m11_structure;
+        Alcotest.test_case "M10/M11 run bottom-up" `Quick test_m10_m11_bottom_up;
+        prop_string_value_contains;
         prop_engine_vs_oracle;
       ] )

@@ -79,16 +79,29 @@ let test_lexicographic () =
   Alcotest.(check int) "lt_count zzz" 5 (Text_collection.less_than_count tc "zzz");
   Alcotest.(check int) "lt_count a" 0 (Text_collection.less_than_count tc "a")
 
+(* The scan-or-locate rule prices locating every occurrence (about half
+   the sample rate in LF steps each) against one scan of the store. *)
 let test_strategy_cutoff () =
   let texts = Array.make 50 "xyxyxy" in
-  let tc = Text_collection.build ~contains_cutoff:10 texts in
+  let tc = Text_collection.build texts in
   Alcotest.(check bool) "picks plain scan" true
     (Text_collection.contains_strategy tc "xy" = Text_collection.Plain_scan);
   Alcotest.(check bool) "rare pattern keeps FM" true
     (Text_collection.contains_strategy tc "yy" = Text_collection.Fm_locate);
+  Alcotest.(check bool) "no store keeps FM" true
+    (Text_collection.contains_strategy (Text_collection.build ~store_plain:false texts) "xy"
+    = Text_collection.Fm_locate);
   Alcotest.(check (list int)) "strategies agree"
     (Text_collection.contains_via tc Text_collection.Fm_locate "xy")
-    (Text_collection.contains_via tc Text_collection.Plain_scan "xy")
+    (Text_collection.contains_via tc Text_collection.Plain_scan "xy");
+  (* 100 occurrences in ~100 kB: sparse sampling makes locating them
+     dearer than one scan, dense sampling does not *)
+  let texts =
+    Array.init 1000 (fun i -> if i mod 10 = 0 then "xy" ^ String.make 98 'z' else String.make 100 'z')
+  in
+  let strategy l = Text_collection.contains_strategy (Text_collection.build ~sample_rate:l texts) "xy" in
+  Alcotest.(check bool) "l = 64 scans" true (strategy 64 = Text_collection.Plain_scan);
+  Alcotest.(check bool) "l = 4 locates" true (strategy 4 = Text_collection.Fm_locate)
 
 let prop_contains =
   qtest "contains matches naive" texts_gen (fun texts ->
@@ -145,6 +158,50 @@ let prop_lex_partition =
           let gt = List.length (Text_collection.greater_than tc p) in
           lt + eq + gt = Array.length texts)
         patterns)
+
+let lex_ops =
+  [
+    ("lt", Text_collection.less_than, fun c -> c < 0);
+    ("le", Text_collection.less_equal, fun c -> c <= 0);
+    ("gt", Text_collection.greater_than, fun c -> c > 0);
+    ("ge", Text_collection.greater_equal, fun c -> c >= 0);
+  ]
+
+let prop_lex_ops =
+  qtest "lexicographic operators match String.compare"
+    QCheck2.Gen.(
+      pair texts_gen
+        (list_size (int_range 1 6)
+           (string_size ~gen:(map Char.chr (int_range 97 100)) (int_range 0 5))))
+    (fun (texts, pats) ->
+      let tc = Text_collection.build texts in
+      List.for_all
+        (fun p ->
+          List.for_all
+            (fun (_, op, keep) ->
+              op tc p = naive_ids texts (fun s -> keep (String.compare s p)))
+            lex_ops
+          && Text_collection.less_than_count tc p
+             = List.length (naive_ids texts (fun s -> s < p))
+          && Text_collection.less_equal_count tc p
+             = List.length (naive_ids texts (fun s -> s <= p)))
+        pats)
+
+(* Every operator reads one range of text rows, so a large collection
+   answers as fast as a small one. *)
+let test_lex_large () =
+  let n = 60_000 in
+  let texts = Array.init n (fun i -> Printf.sprintf "%c%05d" (Char.chr (65 + (i * 7 mod 26))) i) in
+  let tc = Text_collection.build texts in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun (name, op, keep) ->
+          Alcotest.(check (list int)) (name ^ " " ^ p)
+            (naive_ids texts (fun s -> keep (String.compare s p)))
+            (op tc p))
+        lex_ops)
+    [ "M"; "A00000"; "Z"; "K12345"; "" ]
 
 (* ------------------------------------------------------------------ *)
 (* LZ78 store                                                           *)
@@ -233,6 +290,8 @@ let suite =
       prop_ends_with;
       prop_less_than;
       prop_lex_partition;
+      prop_lex_ops;
+      Alcotest.test_case "lexicographic on 60k texts" `Quick test_lex_large;
       Alcotest.test_case "lz78 round-trip" `Quick test_lz78_roundtrip;
       Alcotest.test_case "lz78 compresses" `Quick test_lz78_compresses;
       Alcotest.test_case "store modes" `Quick test_store_modes;
