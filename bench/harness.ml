@@ -253,7 +253,22 @@ let serialize_bytes doc nodes =
     nodes;
   !total
 
-(* Heap words currently live, as a coarse memory probe. *)
-let live_mb () =
-  let st = Gc.quick_stat () in
-  float_of_int (st.Gc.heap_words * 8) /. 1e6
+(* Run [argv] as a child with stdout discarded; its wall-clock seconds
+   and peak resident set in bytes (ru_maxrss from wait4), so a
+   build's peak is read from a fresh process rather than from a heap
+   that earlier work has already grown. *)
+external wait_maxrss : int -> int * int = "bench_wait_maxrss"
+
+let child_peak argv =
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let t0 = Unix.gettimeofday () in
+  let pid =
+    Fun.protect
+      ~finally:(fun () -> Unix.close devnull)
+      (fun () -> Unix.create_process argv.(0) argv Unix.stdin devnull Unix.stderr)
+  in
+  let status, maxrss_kb = wait_maxrss pid in
+  let t = Unix.gettimeofday () -. t0 in
+  if status <> 0 then
+    failwith (Printf.sprintf "%s exited with %d" (String.concat " " (Array.to_list argv)) status);
+  (t, maxrss_kb * 1024)

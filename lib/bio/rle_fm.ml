@@ -12,38 +12,17 @@ type t = {
 
 let build texts =
   let d = Array.length texts in
-  if d = 0 then invalid_arg "Rle_fm.build: empty collection";
-  let n = Array.fold_left (fun acc s -> acc + String.length s + 1) 0 texts in
-  let mapped = Array.make (n + 1) 0 in
-  let p = ref 0 in
-  Array.iteri
-    (fun i s ->
-      String.iter
-        (fun ch ->
-          if ch = '\000' then invalid_arg "Rle_fm.build: NUL byte in text";
-          mapped.(!p) <- Char.code ch + d;
-          incr p)
-        s;
-      mapped.(!p) <- i + 1;
-      incr p)
-    texts;
-  let sa = Sais.suffix_array mapped (256 + d) in
-  let bwt = Bytes.create n in
-  for i = 0 to n - 1 do
-    let r = sa.(i + 1) in
-    let prev = if r = 0 then n - 1 else r - 1 in
-    let v = mapped.(prev) in
-    Bytes.unsafe_set bwt i (if v <= d then '\000' else Char.unsafe_chr (v - d))
-  done;
+  let bwt = Fm_index.bwt_of_texts texts in
+  let n = String.length bwt in
   (* run-length encode *)
   let heads = Buffer.create 1024 in
   let starts = ref [] and nruns = ref 0 in
   let run_lengths = Array.init 256 (fun _ -> ref []) in
   let i = ref 0 in
   while !i < n do
-    let ch = Bytes.get bwt !i in
+    let ch = bwt.[!i] in
     let start = !i in
-    while !i < n && Bytes.get bwt !i = ch do
+    while !i < n && bwt.[!i] = ch do
       incr i
     done;
     Buffer.add_char heads ch;
@@ -74,7 +53,7 @@ let build texts =
       run_lengths
   in
   let counts = Array.make 257 0 in
-  Bytes.iter (fun ch -> counts.(Char.code ch + 1) <- counts.(Char.code ch + 1) + 1) bwt;
+  String.iter (fun ch -> counts.(Char.code ch + 1) <- counts.(Char.code ch + 1) + 1) bwt;
   let c = Array.make 256 0 in
   for b = 1 to 255 do
     c.(b) <- c.(b - 1) + counts.(b)

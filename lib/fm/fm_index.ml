@@ -35,8 +35,7 @@ let set_probe p = Atomic.set active_probe p
 let current_probe () = Atomic.get active_probe
 
 (* Build-phase spans: the FM build dominates indexing time, and these
-   give the sampling profiler named cost centers for its phases (the
-   fill span runs on pool worker domains under their task span). *)
+   give the sampling profiler named cost centers for its phases. *)
 module J = Sxsi_obs.Journal
 
 let n_build = J.name "fm/build"
@@ -56,80 +55,99 @@ type t = {
   starts : Sparse.t;              (* start position of each text in T *)
 }
 
-(* Minimum collection length before a pool is worth using for the
-   BWT/sampling pass. *)
-let par_cutoff = 1 lsl 16
+let bits_for v =
+  let rec go v acc = if v = 0 then max 1 acc else go (v lsr 1) (acc + 1) in
+  go v 0
 
-let build ?pool ?(sample_rate = 64) texts =
+(* The collection as one packed SA-IS input: the terminator of text i
+   is the symbol i+1, content byte b is b+d, and the SA-IS sentinel 0
+   ends it.  Returns it with the start of each text. *)
+let packed_text ~who texts =
   let d = Array.length texts in
-  if d = 0 then invalid_arg "Fm_index.build: empty collection";
-  J.with_span J.Engine n_build @@ fun () ->
+  if d = 0 then invalid_arg (who ^ ": empty collection");
   let n = Array.fold_left (fun acc s -> acc + String.length s + 1) 0 texts in
-  (* Map to an int string where the terminator of text i is the symbol
-     i+1 and content byte b is b+d, then append the SA-IS sentinel. *)
-  let mapped = Array.make (n + 1) 0 in
-  let starts_arr = Array.make d 0 in
+  Sais.check_length (n + 1);
+  let mapped = Sais.create (n + 1) in
+  let starts = Array.make d 0 in
   let p = ref 0 in
   Array.iteri
     (fun i s ->
-      starts_arr.(i) <- !p;
-      String.iter
-        (fun ch ->
-          if ch = '\000' then invalid_arg "Fm_index.build: NUL byte in text";
-          mapped.(!p) <- Char.code ch + d;
-          incr p)
-        s;
-      mapped.(!p) <- i + 1;
+      starts.(i) <- !p;
+      for k = 0 to String.length s - 1 do
+        let ch = String.unsafe_get s k in
+        if ch = '\000' then invalid_arg (who ^ ": NUL byte in text");
+        Sais.unsafe_set mapped (!p + k) (Char.code ch + d)
+      done;
+      p := !p + String.length s;
+      Sais.unsafe_set mapped !p (i + 1);
       incr p)
     texts;
+  (mapped, starts)
+
+(* BWT row i is suffix [r = sa.(i+1)] (the sentinel's row 0 is
+   dropped); its symbol precedes position r, cyclically. *)
+let[@inline] row_suffix sa i = Sais.unsafe_get sa (i + 1)
+let[@inline] preceding mapped n r = Sais.unsafe_get mapped (if r = 0 then n - 1 else r - 1)
+
+let write_bwt mapped sa d =
+  let n = Sais.length mapped - 1 in
+  let bwt = Bytes.create n in
+  for i = 0 to n - 1 do
+    let v = preceding mapped n (row_suffix sa i) in
+    Bytes.unsafe_set bwt i (if v <= d then '\000' else Char.unsafe_chr (v - d))
+  done;
+  bwt
+
+let bwt_of_texts texts =
+  let mapped, _ = packed_text ~who:"Fm_index.bwt_of_texts" texts in
+  let d = Array.length texts in
+  Bytes.unsafe_to_string (write_bwt mapped (Sais.suffix_array mapped (256 + d)) d)
+
+(* The mapped text and its suffix array, 4 bytes per text byte each,
+   are the build's two big arrays.  Two passes over them write the BWT
+   bytes, then the sampled-row bits and both integer vectors straight
+   into their final form, and they are garbage as soon as [scan]
+   returns, before the wavelet tree is built. *)
+let scan ~sample_rate texts =
+  let d = Array.length texts in
+  let mapped, starts = packed_text ~who:"Fm_index.build" texts in
+  let n = Sais.length mapped - 1 in
   let sa = J.with_span J.Engine n_sais (fun () -> Sais.suffix_array mapped (256 + d)) in
-  (* Drop the sentinel row, build BWT / samples / $ docs in one pass.
-     Each chunk of rows fills a disjoint slice of [bwt_bytes] (single
-     byte stores never tear) and returns its own ascending $-doc and
-     sampled-position lists, which concatenate in chunk order — so the
-     parallel pass reproduces the sequential output exactly. *)
-  let bwt_bytes = Bytes.create n in
-  let fill lo hi =
-    J.with_span J.Engine n_fill @@ fun () ->
-    let dollars = ref [] and samples = ref [] in
-    for i = hi - 1 downto lo do
-      let r = sa.(i + 1) in
-      let prev = if r = 0 then n - 1 else r - 1 in
-      let v = mapped.(prev) in
-      if v <= d then begin
-        Bytes.unsafe_set bwt_bytes i '\000';
-        (* terminator of text v-1: the suffix at this row starts text
-           [v mod d] (text 0 when v = d). *)
-        dollars := (v mod d) :: !dollars
-      end
-      else Bytes.unsafe_set bwt_bytes i (Char.unsafe_chr (v - d));
-      if r mod sample_rate = 0 then samples := r :: !samples
-    done;
-    (!dollars, !samples)
-  in
-  let chunk_results =
-    match pool with
-    | Some p when Sxsi_par.Pool.size p > 1 && n >= par_cutoff ->
-      let k = min (4 * Sxsi_par.Pool.size p) n in
-      let ranges = Array.init k (fun j -> (n * j / k, n * (j + 1) / k)) in
-      Array.to_list (Sxsi_par.Pool.map_array p (fun (lo, hi) -> fill lo hi) ranges)
-    | _ -> [ fill 0 n ]
-  in
-  let dollar_docs = List.concat_map fst chunk_results in
-  let sample_positions = List.concat_map snd chunk_results in
-  let sampled = Bitvec.of_fun n (fun i -> sa.(i + 1) mod sample_rate = 0) in
-  let bits_for v =
-    let rec go v acc = if v = 0 then max 1 acc else go (v lsr 1) (acc + 1) in
-    go v 0
-  in
-  let pack xs max_value =
-    let count = List.length xs in
-    let iv = Intvec.make (max 1 count) (bits_for max_value) in
-    List.iteri (fun i x -> Intvec.set iv i x) xs;
-    iv
-  in
-  let doc_started = pack dollar_docs (max 1 (d - 1)) in
-  let samples = pack sample_positions (max 1 (n - 1)) in
+  J.with_span J.Engine n_fill @@ fun () ->
+  let bwt = write_bwt mapped sa d in
+  let sampled = Bitvec.Builder.create ~hint:n () in
+  (* d end-marker rows; positions 0, l, 2l, ... below n are sampled *)
+  let doc_started = Intvec.make d (bits_for (max 1 (d - 1))) in
+  let samples = Intvec.make (((n - 1) / sample_rate) + 1) (bits_for (max 1 (n - 1))) in
+  let nd = ref 0 and ns = ref 0 in
+  for i = 0 to n - 1 do
+    let r = row_suffix sa i in
+    if Bytes.unsafe_get bwt i = '\000' then begin
+      (* terminator of text v-1: the suffix at this row starts text
+         [v mod d] (text 0 when v = d). *)
+      Intvec.set doc_started !nd (preceding mapped n r mod d);
+      incr nd
+    end;
+    let s = r mod sample_rate = 0 in
+    Bitvec.Builder.push sampled s;
+    if s then begin
+      Intvec.set samples !ns r;
+      incr ns
+    end
+  done;
+  (n, bwt, Bitvec.Builder.finish sampled, doc_started, samples, starts)
+
+(* Text length from which [build] collects the dead [scan] arrays (8
+   bytes per text byte) before the wavelet tree is built: the major GC
+   would otherwise keep them through the rest of the build and
+   beyond.  Below it they are under 8 MB, less than a stop-the-world
+   collection is worth. *)
+let collect_above = 1 lsl 20
+
+let build ?pool ?(sample_rate = 64) texts =
+  J.with_span J.Engine n_build @@ fun () ->
+  let n, bwt_bytes, sampled, doc_started, samples, starts = scan ~sample_rate texts in
+  if n >= collect_above then Gc.full_major ();
   let bwt =
     J.with_span J.Engine n_wavelet (fun () ->
         Wavelet.of_string ?pool (Bytes.unsafe_to_string bwt_bytes))
@@ -142,12 +160,12 @@ let build ?pool ?(sample_rate = 64) texts =
     bwt;
     c = Array.sub c 0 256;
     n;
-    d;
+    d = Array.length texts;
     sample_rate;
     doc_started;
     sampled;
     samples;
-    starts = Sparse.of_sorted ~universe:n starts_arr;
+    starts = Sparse.of_sorted ~universe:n starts;
   }
 
 let length t = t.n

@@ -18,10 +18,19 @@ val build : ?pool:Sxsi_par.Pool.t -> ?sample_rate:int -> string array -> t
 (** [build texts] indexes the collection.  [sample_rate] (default 64)
     is the text-position sampling step [l] governing the
     locate-time/space trade-off.  With a [pool] of size [> 1], the
-    BWT/sampling pass and the wavelet-tree build run chunked across the
-    pool's domains; the resulting index is identical to the sequential
-    build.
-    @raise Invalid_argument if a text contains byte 0. *)
+    wavelet-tree build runs chunked across the pool's domains; the
+    resulting index is identical to the sequential build.  The build
+    holds the packed text and its suffix array (4 bytes per text byte
+    each) until the BWT is written, and drops both before the wavelet
+    tree is built.
+    @raise Invalid_argument if a text contains byte 0, or if the
+    collection has [2{^31} - 1] or more bytes with terminators. *)
+
+val bwt_of_texts : string array -> string
+(** The BWT of the collection (the index's row order, ['\000'] for
+    end-markers) with nothing else built: the input of run-length
+    indexes.
+    @raise Invalid_argument as {!build}. *)
 
 val length : t -> int
 (** Total length of [T], terminators included. *)

@@ -24,7 +24,7 @@ let tokenize s =
 type t = {
   d : int;
   seq : int array;         (* token stream with separators, no sentinel *)
-  sa : int array;          (* suffix array of seq + sentinel *)
+  sa : Bytes.t;            (* packed suffix array of seq + sentinel *)
   starts : int array;      (* offset of each text's first token in seq *)
   vocab : (string, int) Hashtbl.t;
   words : int;             (* distinct words *)
@@ -60,7 +60,8 @@ let build texts =
     texts;
   let seq_arr = Array.make !len 0 in
   List.iteri (fun i v -> seq_arr.(!len - 1 - i) <- v) !seq;
-  let with_sentinel = Array.append seq_arr [| 0 |] in
+  let with_sentinel = Sais.create (!len + 1) in
+  Array.iteri (Sais.unsafe_set with_sentinel) seq_arr;
   let sa = Sais.suffix_array with_sentinel !next in
   {
     d;
@@ -92,18 +93,18 @@ let compare_suffix t p (q : int array) =
 
 let sa_range t q =
   (* t.sa indexes seq+sentinel; position [length seq] is the sentinel *)
-  let n = Array.length t.sa in
+  let n = Sais.length t.sa in
   (* lower bound: first suffix >= q *)
   let lo = ref 0 and hi = ref n in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if compare_suffix t t.sa.(mid) q < 0 then lo := mid + 1 else hi := mid
+    if compare_suffix t (Sais.get t.sa mid) q < 0 then lo := mid + 1 else hi := mid
   done;
   let first = !lo in
   let lo = ref first and hi = ref n in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if compare_suffix t t.sa.(mid) q <= 0 then lo := mid + 1 else hi := mid
+    if compare_suffix t (Sais.get t.sa mid) q <= 0 then lo := mid + 1 else hi := mid
   done;
   (first, !lo)
 
@@ -145,7 +146,7 @@ let contains_phrase t phrase =
     let sp, ep = sa_range t q in
     let ids = ref [] in
     for k = sp to ep - 1 do
-      ids := text_of_pos t t.sa.(k) :: !ids
+      ids := text_of_pos t (Sais.get t.sa k) :: !ids
     done;
     List.sort_uniq compare !ids
 
@@ -163,5 +164,6 @@ let matches_text _t phrase s =
     go 0
 
 let space_bits t =
-  64 * (Array.length t.seq + Array.length t.sa + Array.length t.starts)
+  (64 * (Array.length t.seq + Array.length t.starts))
+  + (32 * Sais.length t.sa)
   + (t.words * 128)

@@ -68,7 +68,13 @@ module Grow = struct
     g.a.(g.n) <- v;
     g.n <- g.n + 1
 
-  let to_array g = Array.sub g.a 0 g.n
+  (* the contents, leaving [g] empty (and unusable) so that its buffer
+     can be collected *)
+  let take g =
+    let a = Array.sub g.a 0 g.n in
+    g.a <- [||];
+    g.n <- 0;
+    a
 end
 
 type builder = {
@@ -87,6 +93,8 @@ type builder = {
   rel_seen : (int * int * int, unit) Hashtbl.t;
   mutable rel_pairs : (Tag_rel.relation * int * int) list;
   mutable ancestors : int list;          (* tag stack, top = current node *)
+  mutable anc_tags : int list;           (* its distinct tags, latest first seen on top *)
+  mutable anc_mult : int array;          (* per tag: occurrences on the stack *)
   mutable sibling_frames : int list list;  (* distinct earlier-sibling tags *)
   closed_order : Grow.t;                 (* distinct tags in close order *)
   closed_flag : (int, unit) Hashtbl.t;
@@ -109,6 +117,8 @@ let new_builder () =
       rel_seen = Hashtbl.create 256;
       rel_pairs = [];
       ancestors = [];
+      anc_tags = [];
+      anc_mult = Array.make 64 0;
       sibling_frames = [];
       closed_order = Grow.create ();
       closed_flag = Hashtbl.create 64;
@@ -151,7 +161,9 @@ let open_node b tg ~leaf =
   (match b.ancestors with
   | parent :: _ -> record_rel b Tag_rel.Child parent tg
   | [] -> ());
-  List.iter (fun a -> record_rel b Tag_rel.Descendant a tg) b.ancestors;
+  (* only the distinct ancestor tags: O(distinct tags) per node, not
+     O(depth) *)
+  List.iter (fun a -> record_rel b Tag_rel.Descendant a tg) b.anc_tags;
   (match b.sibling_frames with
   | seen :: rest ->
     List.iter (fun a -> record_rel b Tag_rel.Following_sibling a tg) seen;
@@ -167,6 +179,13 @@ let open_node b tg ~leaf =
   Grow.push b.tag_seq tg;
   Bitvec.Builder.push b.leaf_bits leaf;
   b.ancestors <- tg :: b.ancestors;
+  if tg >= Array.length b.anc_mult then begin
+    let a = Array.make (2 * (tg + 1)) 0 in
+    Array.blit b.anc_mult 0 a 0 (Array.length b.anc_mult);
+    b.anc_mult <- a
+  end;
+  if b.anc_mult.(tg) = 0 then b.anc_tags <- tg :: b.anc_tags;
+  b.anc_mult.(tg) <- b.anc_mult.(tg) + 1;
   b.sibling_frames <- [] :: b.sibling_frames;
   (match b.frames with
   | (nontext, text) :: _ ->
@@ -182,6 +201,10 @@ let close_node b =
     Grow.push b.tag_seq tg;
     Bitvec.Builder.push b.leaf_bits false;
     b.ancestors <- rest;
+    (* the last occurrence of a tag to close is its first on the
+       stack, so every tag first seen above it has left [anc_tags] *)
+    b.anc_mult.(tg) <- b.anc_mult.(tg) - 1;
+    if b.anc_mult.(tg) = 0 then b.anc_tags <- List.tl b.anc_tags;
     b.sibling_frames <- List.tl b.sibling_frames;
     (match b.frames with
     | (nontext, text) :: frest ->
@@ -235,8 +258,13 @@ let of_xml ?pool ?backend ?(keep_whitespace = true) ?(sample_rate = 32)
       Xml_parser.parse ~on_open ~on_close ~on_text:emit_text src);
   close_node b;
   let bp = Bp.Builder.finish b.bpb in
+  (* the builder's inputs are released as they are consumed (the tag
+     sequence by [Grow.take]), so that they can be collected before the
+     FM build's big arrays exist *)
   let names = Array.of_list (List.rev b.names_rev) in
   let texts = Array.of_list (List.rev b.texts_rev) in
+  b.names_rev <- [];
+  b.texts_rev <- [];
   let backend = match backend with Some bk -> bk | None -> default_backend () in
   (* The tree structures and the text collection depend on disjoint
      builder output, so with a pool the two builds overlap (each also
@@ -246,15 +274,14 @@ let of_xml ?pool ?backend ?(keep_whitespace = true) ?(sample_rate = 32)
     match backend with
     | `Bp ->
       let tag_index =
-        Tag_index.build ?pool bp ~tag_count:(Array.length names)
-          ~tags:(Grow.to_array b.tag_seq)
+        Tag_index.build ?pool bp ~tag_count:(Array.length names) ~tags:(Grow.take b.tag_seq)
       in
       Tree_backend.of_bp ~bp ~tags:tag_index
         ~leaves:(Bitvec.Builder.finish b.leaf_bits)
     | `Grammar ->
       (* the parenthesis sequence with its tags, one terminal per
          position (the in-memory Bp just built supplies direction) *)
-      let tags = Grow.to_array b.tag_seq in
+      let tags = Grow.take b.tag_seq in
       let syms =
         Array.init (Array.length tags) (fun i ->
             (2 * tags.(i)) + if Bp.is_open bp i then 0 else 1)

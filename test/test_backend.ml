@@ -336,6 +336,24 @@ let test_old_version_rejected () =
                find 0)))
     [ (fun _ -> "SXSI-INDEX-v2\n" ^ String.make 64 '\x00'); v4 ]
 
+(* Building records a descendant pair per distinct ancestor tag, not
+   per ancestor, so a 10^5-deep chain builds in linear time. *)
+let test_deep_document () =
+  let depth = 100_000 in
+  let buf = Buffer.create (7 * depth) in
+  for _ = 1 to depth do
+    Buffer.add_string buf "<a>"
+  done;
+  for _ = 1 to depth do
+    Buffer.add_string buf "</a>"
+  done;
+  let xml = Buffer.contents buf in
+  List.iter
+    (fun (name, backend) ->
+      let d = Document.of_xml ~backend xml in
+      Alcotest.(check int) (name ^ " //a") depth (Engine.count (Engine.prepare d "//a")))
+    [ ("bp", `Bp); ("grammar", `Grammar) ]
+
 let suite =
   ( "backend",
     [
@@ -350,4 +368,5 @@ let suite =
       Alcotest.test_case "unknown backend tag is typed" `Quick test_unknown_backend_tag;
       Alcotest.test_case "old container version rejected" `Quick
         test_old_version_rejected;
+      Alcotest.test_case "10^5-deep document builds" `Quick test_deep_document;
     ] )

@@ -202,6 +202,21 @@ let test_tag_rel_recorded () =
   Alcotest.(check bool) "d following c" false
     (Tag_rel.mem r Tag_rel.Following (id "d") (id "c"))
 
+(* A tag repeated on the ancestor stack stays an ancestor until its
+   outermost occurrence closes. *)
+let test_tag_rel_repeated_ancestors () =
+  let d = Document.of_xml "<a><b><a><c/></a><e/></b><d/></a><f/>" in
+  let r = Document.rel d in
+  let id n = Option.get (Document.tag_id d n) in
+  let desc a b = Tag_rel.mem r Tag_rel.Descendant (id a) (id b) in
+  List.iter
+    (fun (a, b, want) -> Alcotest.(check bool) (a ^ " desc " ^ b) want (desc a b))
+    [
+      ("a", "a", true); ("a", "c", true); ("b", "a", true); ("b", "c", true);
+      ("b", "e", true); ("a", "e", true); ("a", "d", true); ("b", "d", false);
+      ("c", "e", false); ("a", "f", false); ("b", "f", false);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Round-trip property on random documents                              *)
 (* ------------------------------------------------------------------ *)
@@ -406,6 +421,7 @@ let suite =
       Alcotest.test_case "empty element" `Quick test_empty_element_document;
       Alcotest.test_case "empty attribute" `Quick test_attr_without_value;
       Alcotest.test_case "tag_rel recorded" `Quick test_tag_rel_recorded;
+      Alcotest.test_case "tag_rel repeated ancestors" `Quick test_tag_rel_repeated_ancestors;
       Alcotest.test_case "utf-8" `Quick test_utf8;
       Alcotest.test_case "load rejects corruption" `Quick test_load_rejects_corruption;
       prop_save_load_roundtrip;
