@@ -248,7 +248,7 @@ let serialize_bytes doc nodes =
   Array.iter
     (fun x ->
       Buffer.clear sink;
-      Buffer.add_string sink (Sxsi_xml.Document.serialize doc x);
+      Sxsi_xml.Document.serialize_into sink doc x;
       total := !total + Buffer.length sink)
     nodes;
   !total

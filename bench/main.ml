@@ -1083,6 +1083,59 @@ let prof () =
 
 let probe_flag = ref false
 
+(* The MATERIALIZE queries whose reply is the serialization: each goes
+   through [Service.handle_line] and the wire rendering, as a served
+   request does.  The bytes allocated per reply byte are deterministic
+   once the output buffer is warm (one untimed request, as a server's
+   is after its first reply); the least of three requests is recorded,
+   so that a one-off growth of the profiler's own tables (--profile)
+   is not charged to the request.  check_materialize_alloc.py gates
+   the ratio at 2.0. *)
+let materialize_queries = [ "X01"; "X02"; "X13" ]
+
+let materialize_rows doc =
+  let module S = Sxsi_service.Service in
+  let svc =
+    S.create ~options:{ S.default_options with compiled_cache = 0; count_cache = 0 } ()
+  in
+  Fun.protect ~finally:(fun () -> S.shutdown svc) @@ fun () ->
+  S.add_document svc "bench" doc;
+  let rows =
+    List.map
+      (fun id ->
+        let q = List.assoc id xmark_queries in
+        let reply () =
+          Sxsi_service.Protocol.print_response (S.handle_line svc ("MATERIALIZE bench " ^ q))
+        in
+        ignore (reply ());
+        let measured () =
+          let a0 = Gc.allocated_bytes () in
+          let wire = reply () in
+          (Gc.allocated_bytes () -. a0, wire)
+        in
+        let alloc, wire = List.fold_left min (measured ()) [ measured (); measured () ] in
+        let t = H.time reply in
+        let serialized = H.serialize_bytes doc (Engine.select (Engine.prepare doc q)) in
+        let per_byte = alloc /. float_of_int (String.length wire) in
+        H.measure
+          [
+            ("id", J.String id);
+            ("verb", J.String "MATERIALIZE");
+            ("query", J.String q);
+            ("reply_bytes", J.Int (String.length wire));
+            ("serialized_bytes", J.Int serialized);
+            ("alloc_bytes", J.Int (int_of_float alloc));
+            ("alloc_per_reply_byte", J.Float per_byte);
+            ("materialize_ns", J.Int (int_of_float (t *. 1e9)));
+          ];
+        [
+          id; string_of_int (String.length wire); string_of_int serialized;
+          Printf.sprintf "%.2f" per_byte; H.pp_ms t;
+        ])
+      materialize_queries
+  in
+  H.table [ "MATERIALIZE"; "reply bytes"; "serialized"; "alloc B/B"; "handle+render" ] rows
+
 let xmark () =
   H.section
     (Printf.sprintf "XMark per-query latency and phase breakdown (X01-X17, probes %s)"
@@ -1167,7 +1220,8 @@ let xmark () =
           "query"; "results"; "count"; "select"; "run phase"; "mat phase";
           "visited off"; "visited on"; "jumps off"; "jumps on"; "fm searches";
         ]
-        rows)
+        rows;
+      materialize_rows doc)
 
 (* ------------------------------------------------------------------ *)
 (* Bit kernels: rank/select/next1 microbench over a density x size      *)

@@ -201,8 +201,20 @@ let select_cmd =
                 let nodes = Engine.select ?budget ~config ~strategy ?trace c in
                 if ids then
                   Array.iter (fun x -> Printf.printf "%d\n" (Document.preorder doc x)) nodes
-                else
-                  Array.iter (fun x -> print_endline (Document.serialize doc x)) nodes)))
+                else begin
+                  (* one writer for every node, flushed in 64 KiB pieces *)
+                  let buf = Buffer.create 65536 in
+                  Array.iter
+                    (fun x ->
+                      Document.serialize_into buf doc x;
+                      Buffer.add_char buf '\n';
+                      if Buffer.length buf >= 65536 then begin
+                        Buffer.output_buffer stdout buf;
+                        Buffer.clear buf
+                      end)
+                    nodes;
+                  Buffer.output_buffer stdout buf
+                end)))
   in
   Cmd.v
     (Cmd.info "select" ~doc:"Materialize and serialize the nodes selected by a query")

@@ -28,6 +28,26 @@ let get t i =
   if avail >= t.w then lo land t.mask
   else (lo lor (Array.unsafe_get t.data (wd + 1) lsl avail)) land t.mask
 
+(* Sequential decode: the word and offset advance by [w] bits per
+   element instead of being divided out of [i * w] each time. *)
+let blit_to t i dst n =
+  if i < 0 || n < 0 || i + n > t.n || n > Array.length dst then invalid_arg "Intvec.blit_to";
+  let w = t.w and mask = t.mask in
+  let bit = i * w in
+  let wd = ref (bit / word_bits) and off = ref (bit mod word_bits) in
+  for k = 0 to n - 1 do
+    let lo = Array.unsafe_get t.data !wd lsr !off in
+    let avail = word_bits - !off in
+    Array.unsafe_set dst k
+      (if avail >= w then lo land mask
+       else (lo lor (Array.unsafe_get t.data (!wd + 1) lsl avail)) land mask);
+    off := !off + w;
+    if !off >= word_bits then begin
+      off := !off - word_bits;
+      incr wd
+    end
+  done
+
 let set t i v =
   if i < 0 || i >= t.n then invalid_arg "Intvec.set";
   if v < 0 || v > t.mask then invalid_arg "Intvec.set: value";

@@ -13,5 +13,9 @@ val of_array : ?width:int -> int array -> t
 val length : t -> int
 val width : t -> int
 val get : t -> int -> int
+val blit_to : t -> int -> int array -> int -> unit
+(** [blit_to t i dst n] writes elements [i .. i+n-1] to [dst.(0 .. n-1)],
+    decoding them in one sequential pass. *)
+
 val set : t -> int -> int -> unit
 val space_bits : t -> int

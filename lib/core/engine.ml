@@ -62,9 +62,6 @@ let with_budget budget f =
 let charge_results budget n =
   match budget with None -> () | Some b -> Budget.add_results b n
 
-let charge_bytes budget n =
-  match budget with None -> () | Some b -> Budget.add_bytes b n
-
 let prepare_path ?optimize doc path =
   [
     {
@@ -317,16 +314,11 @@ let select_preorders ?budget ?config ?funs ?strategy ?trace c =
       maybe_time trace Trace.Materialize (fun () ->
           Array.map (Document.preorder (one c).doc) nodes))
 
-let serialize_to ?budget ?config ?funs ?strategy ?trace buf c =
+let serialize_to ?budget ?config ?funs ?strategy ?trace ?framed buf c =
   let nodes = select ?budget ?config ?funs ?strategy ?trace c in
   let doc = (one c).doc in
   J.with_span J.Engine n_materialize (fun () ->
       maybe_time trace Trace.Materialize (fun () ->
           with_budget budget (fun () ->
-              Array.iter
-                (fun x ->
-                  let s = Document.serialize doc x in
-                  charge_bytes budget (String.length s);
-                  Buffer.add_string buf s)
-                nodes)));
+              Array.iter (Document.serialize_into ?budget ?framed buf doc) nodes)));
   Array.length nodes

@@ -97,6 +97,9 @@ val select_preorders :
 val serialize_to :
   ?budget:Sxsi_qos.Budget.t ->
   ?config:Run.config -> ?funs:Run.text_funs -> ?strategy:strategy ->
-  ?trace:Sxsi_obs.Trace.t -> Buffer.t -> compiled -> int
-(** Materialize and serialize every result into the buffer; returns the
-    number of results. *)
+  ?trace:Sxsi_obs.Trace.t -> ?framed:bool -> Buffer.t -> compiled -> int
+(** Materialize and serialize every result into the buffer with
+    {!Sxsi_xml.Document.serialize_into} (its [framed] option writes
+    each result as dot-stuffed DATA payload lines); returns the number
+    of results.  The budget's byte limit is charged as bytes are
+    written, so an oversized answer fails before it is complete. *)

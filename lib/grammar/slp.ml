@@ -466,6 +466,32 @@ let tag t i =
   let s, _, _ = descend t i in
   s lsr 1
 
+(* Terminals of [lo, hi) in order: one descent to the slot holding
+   [lo], then each symbol is expanded once, skipping the subtrees that
+   fall outside the range. *)
+let iter_range t lo hi f =
+  if lo < 0 || hi > t.n then invalid_arg "Slp.iter_range: range out of bounds";
+  let rec expand s p =
+    if s < t.nterm then (if p >= lo then f s)
+    else begin
+      let r = s - t.nterm in
+      let a = Intvec.get t.left r in
+      let pa = p + t_len t a in
+      if pa > lo then expand a p;
+      if pa < hi then expand (Intvec.get t.right r) pa
+    end
+  in
+  if lo < hi then begin
+    let k0, p0, _, _ = locate t lo in
+    let k = ref k0 and p = ref p0 in
+    while !p < hi do
+      let s = Intvec.get t.seq !k in
+      expand s !p;
+      p := !p + t_len t s;
+      incr k
+    done
+  end
+
 let excess t i =
   if i < 0 then 0
   else begin

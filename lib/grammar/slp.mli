@@ -60,6 +60,12 @@ val tag : t -> int -> int
 val excess : t -> int -> int
 (** Excess after position [i] (depth of the node opened at [i]). *)
 
+val iter_range : t -> int -> int -> (int -> unit) -> unit
+(** [iter_range t lo hi f] calls [f] on the terminal ([2*tag] for "(",
+    [2*tag + 1] for ")") of every position in [\[lo, hi)], in order.
+    One descent finds [lo]; after it each rule on the way is expanded
+    once, so a range costs O(grammar depth + its length). *)
+
 (** {1 Navigation (Bp-equivalent)} *)
 
 val close : t -> int -> int

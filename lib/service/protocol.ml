@@ -15,6 +15,7 @@ type request =
 type response =
   | Ok of string list
   | Data of string list
+  | Framed of string
   | Err of string
 
 (* ------------------------------------------------------------------ *)
@@ -141,7 +142,7 @@ let is_code w =
   && String.for_all (fun c -> c >= 'A' && c <= 'Z') w
 
 let err_code = function
-  | Ok _ | Data _ -> None
+  | Ok _ | Data _ | Framed _ -> None
   | Err msg -> begin
     match String.index_opt msg ' ' with
     | Some i when is_code (String.sub msg 0 i) -> Some (String.sub msg 0 i)
@@ -150,7 +151,7 @@ let err_code = function
   end
 
 let retry_after_ms = function
-  | Ok _ | Data _ -> None
+  | Ok _ | Data _ | Framed _ -> None
   | Err msg ->
     let marker = "retry-after-ms=" in
     let mlen = String.length marker in
@@ -166,26 +167,43 @@ let retry_after_ms = function
     in
     find 0
 
-let stuff line = if String.length line > 0 && line.[0] = '.' then "." ^ line else line
-
 let unstuff line =
   if String.length line > 0 && line.[0] = '.' then String.sub line 1 (String.length line - 1)
   else line
+
+(* The DATA encoder.  A MATERIALIZE reply writes its payload in place
+   between [add_data_header] and [add_data_trailer], stuffed as it is
+   serialized (Document.serialize_into ~framed:true). *)
+let add_data_header buf = Buffer.add_string buf "DATA\n"
+
+let add_data_part buf part =
+  let n = String.length part in
+  let line_start = ref 0 in
+  for i = 0 to n do
+    if i = n || String.unsafe_get part i = '\n' then begin
+      if i > !line_start && String.unsafe_get part !line_start = '.' then
+        Buffer.add_char buf '.';
+      Buffer.add_substring buf part !line_start (i - !line_start);
+      Buffer.add_char buf '\n';
+      line_start := i + 1
+    end
+  done
+
+let add_data_trailer buf = Buffer.add_string buf ".\n"
+
+let encode_data parts =
+  let buf = Buffer.create 256 in
+  add_data_header buf;
+  List.iter (add_data_part buf) parts;
+  add_data_trailer buf;
+  Buffer.contents buf
 
 let print_response = function
   | Ok [] -> "OK\n"
   | Ok toks -> "OK " ^ String.concat " " toks ^ "\n"
   | Err msg -> "ERR " ^ msg ^ "\n"
-  | Data lines ->
-    let buf = Buffer.create 256 in
-    Buffer.add_string buf "DATA\n";
-    List.iter
-      (fun l ->
-        Buffer.add_string buf (stuff l);
-        Buffer.add_char buf '\n')
-      lines;
-    Buffer.add_string buf ".\n";
-    Buffer.contents buf
+  | Framed wire -> wire
+  | Data lines -> encode_data lines
 
 let split_words s =
   String.split_on_char ' ' s |> List.filter (fun w -> w <> "")

@@ -61,6 +61,10 @@ type request =
 type response =
   | Ok of string list       (* OK tok1 tok2 ... *)
   | Data of string list     (* payload lines, unstuffed, newline-free *)
+  | Framed of string
+      (* a DATA response already in wire form, header to terminator:
+         how a MATERIALIZE reply reaches the front end without a
+         second copy *)
   | Err of string
 
 val parse_request : string -> (request, string) result
@@ -84,13 +88,33 @@ val retry_after_ms : response -> int option
 (** The [retry-after-ms=<n>] hint of an [Err] response, if present. *)
 
 val print_response : response -> string
-(** Wire rendering, dot-stuffed, every line ["\n"]-terminated. *)
+(** Wire rendering, dot-stuffed, every line ["\n"]-terminated.  A
+    [Framed] response is its own rendering. *)
 
 val parse_response : string list -> (response * string list, string) result
 (** Consume one response from a list of received lines (no trailing
     newlines); returns the remaining lines.
-    [parse_response (lines (print_response r)) = Ok (r, [])]. *)
+    [parse_response (lines (print_response r)) = Ok (r, [])] for every
+    [r] but [Framed], which parses back as the [Data] it encodes. *)
 
 val read_response : (unit -> string option) -> (response, string) result
 (** Incremental client-side reader: pull lines until one full response
     is consumed.  [None] from the reader means EOF. *)
+
+(** {1 DATA encoder}
+
+    One encoder writes every DATA block.  [print_response (Data lines)]
+    is [encode_data lines]. *)
+
+val encode_data : string list -> string
+(** A whole DATA block over the parts: each part is split at ["\n"],
+    each line dot-stuffed (a leading ['.'] doubled) and
+    ["\n"]-terminated, so [encode_data parts = print_response (Data
+    (List.concat_map (String.split_on_char '\n') parts))]. *)
+
+val add_data_header : Buffer.t -> unit
+(** Append ["DATA\n"], for a payload written in place (a
+    [MATERIALIZE] reply, framed as it is serialized). *)
+
+val add_data_trailer : Buffer.t -> unit
+(** Append the terminator [".\n"]. *)

@@ -344,19 +344,39 @@ let select_preorders ?budget t doc query =
   let _, c = compiled_for t doc query in
   Engine.select_preorders ?budget ~config:(run_config t) c
 
+(* The MATERIALIZE output buffer, one per domain and kept across
+   requests, so that a reply costs its final string and not a fresh
+   buffer grown by doubling.  A request takes it out of the slot while
+   it writes, so a second request on the same domain (a systhread) gets
+   a buffer of its own.  A buffer grown past [kept_buffer_bytes] is
+   shrunk before it goes back, so that one huge reply does not stay
+   resident in every domain that served one. *)
+let out_buffer : Buffer.t option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let kept_buffer_bytes = 16 lsl 20
+
+(* Every selected node is serialized straight into DATA framing: one
+   pass from the parentheses to the reply bytes. *)
 let materialize ?budget t doc query =
   let _, c = compiled_for t doc query in
-  let d = locked t (fun () -> (find_doc t doc).Registry.doc) in
-  let nodes = Engine.select ?budget ~config:(run_config t) c in
-  Array.to_list
-    (Array.map
-       (fun x ->
-         let s = Document.serialize d x in
-         (match budget with
-         | Some b -> Budget.add_bytes b (String.length s)
-         | None -> ());
-         s)
-       nodes)
+  let slot = Domain.DLS.get out_buffer in
+  let buf =
+    match !slot with
+    | Some b ->
+      slot := None;
+      Buffer.clear b;
+      b
+    | None -> Buffer.create 4096
+  in
+  Fun.protect ~finally:(fun () ->
+      if Buffer.length buf > kept_buffer_bytes then Buffer.reset buf;
+      slot := Some buf)
+  @@ fun () ->
+  Protocol.add_data_header buf;
+  ignore (Engine.serialize_to ?budget ~config:(run_config t) ~framed:true buf c : int);
+  Protocol.add_data_trailer buf;
+  Protocol.Framed (Buffer.contents buf)
 
 (* One-shot traced evaluation: resolve the compiled query (recording
    parse/compile time and whether the cache hit), then run a traced
@@ -542,10 +562,7 @@ let dispatch t ~deadline_ms ~elapsed_ns (req : Protocol.request) : Protocol.resp
         Protocol.Data
           (Array.to_list (Array.map string_of_int (select_preorders ?budget t doc query))))
   | Materialize { doc; query } ->
-    (* payload lines must be newline-free; serialized XML may not be *)
-    governed t ~deadline_ms ~elapsed_ns doc (fun budget ->
-        Protocol.Data
-          (List.concat_map (String.split_on_char '\n') (materialize ?budget t doc query)))
+    governed t ~deadline_ms ~elapsed_ns doc (fun budget -> materialize ?budget t doc query)
   | Stats -> Protocol.Data (List.map (fun (k, v) -> k ^ "=" ^ v) (stats t))
   | Metrics ->
     let text = metrics_text t in
@@ -599,7 +616,7 @@ let slow_log_entry t req resp dt cur =
             (match resp with
             | Protocol.Err _ -> (
               match Protocol.err_code resp with Some c -> c | None -> "ERR")
-            | Protocol.Ok _ | Protocol.Data _ -> "OK") );
+            | Protocol.Ok _ | Protocol.Data _ | Protocol.Framed _ -> "OK") );
       ]
     in
     let fields = if spans = [] then fields else fields @ [ ("spans", List spans) ] in

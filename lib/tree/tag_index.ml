@@ -86,6 +86,7 @@ let tag_count t = t.tcount
 let tag t i =
   probe_tag_read ();
   Intvec.get t.tags i
+let tags_into t i dst n = Intvec.blit_to t.tags i dst n
 let count t tg = Sparse.length t.rows.(tg)
 let rank_tag t tg i = Sparse.rank t.rows.(tg) i
 let select_tag t tg j = Sparse.get t.rows.(tg) j

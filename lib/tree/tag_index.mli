@@ -22,6 +22,11 @@ val tag_count : t -> int
 val tag : t -> int -> int
 (** Tag of the node at position [i] ([Tag(x)]). *)
 
+val tags_into : t -> int -> int array -> int -> unit
+(** [tags_into t i dst n] writes the tags of positions [i .. i+n-1] to
+    [dst.(0 .. n-1)] in one sequential decode (a bulk read for
+    serialization; it does not feed the [tag_reads] probe). *)
+
 val count : t -> int -> int
 (** Total number of nodes carrying a tag. *)
 

@@ -123,6 +123,21 @@ let tag t i =
     Tag_index.probe_tag_read ();
     Slp.tag g i
 
+let parens_into t i dst n =
+  match t with
+  | Bp_backend b ->
+    Tag_index.tags_into b.tags i dst n;
+    for k = 0 to n - 1 do
+      Array.unsafe_set dst k
+        ((2 * Array.unsafe_get dst k) + if Bp.is_open b.bp (i + k) then 0 else 1)
+    done
+  | Grammar_backend g ->
+    if n > Array.length dst then invalid_arg "Tree_backend.parens_into";
+    let k = ref 0 in
+    Slp.iter_range g i (i + n) (fun sym ->
+        Array.unsafe_set dst !k sym;
+        incr k)
+
 let count t tg =
   match t with
   | Bp_backend b -> Tag_index.count b.tags tg

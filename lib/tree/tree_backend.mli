@@ -86,6 +86,13 @@ val tag_count : t -> int
 val tag : t -> int -> int
 (** Tag of the node at position [i]. *)
 
+val parens_into : t -> int -> int array -> int -> unit
+(** [parens_into t i dst n] writes positions [i .. i+n-1] to
+    [dst.(0 .. n-1)] in one sequential pass: [2 * tag t p] for an
+    opening parenthesis, [2 * tag t p + 1] for a closing one.  Tags are
+    stored at both parentheses, so a left-to-right scan knows which
+    node every position opens or closes without a stack. *)
+
 val count : t -> int -> int
 val subtree_tags : t -> int -> int -> int
 val tagged_desc : t -> int -> int -> int

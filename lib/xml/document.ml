@@ -77,6 +77,38 @@ module Grow = struct
     a
 end
 
+(* Growable square bit matrix over tag pairs: the set of relation pairs
+   recorded so far, probed once per relation per node without
+   allocating.  The side doubles when a tag outgrows it. *)
+module Bitmat = struct
+  type t = { mutable side : int; mutable bits : Bytes.t }
+
+  let create () = { side = 64; bits = Bytes.make (64 * 64 / 8) '\000' }
+
+  let grow m need =
+    let side = ref m.side in
+    while !side <= need do side := 2 * !side done;
+    let bits = Bytes.make (!side * !side / 8) '\000' in
+    (* rows are whole bytes: [side] is a multiple of 8 *)
+    for a = 0 to m.side - 1 do
+      Bytes.blit m.bits (a * m.side / 8) bits (a * !side / 8) (m.side / 8)
+    done;
+    m.side <- !side;
+    m.bits <- bits
+
+  (* set (a, b); whether it was clear before *)
+  let add m a b =
+    if a >= m.side || b >= m.side then grow m (max a b);
+    let bit = (a * m.side) + b in
+    let byte = Char.code (Bytes.unsafe_get m.bits (bit lsr 3)) in
+    let mask = 1 lsl (bit land 7) in
+    byte land mask = 0
+    && begin
+      Bytes.unsafe_set m.bits (bit lsr 3) (Char.unsafe_chr (byte lor mask));
+      true
+    end
+end
+
 type builder = {
   bpb : Bp.Builder.t;
   tag_seq : Grow.t;
@@ -87,10 +119,11 @@ type builder = {
   mutable names_rev : string list;
   mutable name_count : int;
   (* pcdata tracking: per-frame child profile *)
-  mutable frames : (int ref * int ref) list;   (* non-text kids, text kids *)
+  kids : Grow.t;                         (* per open node: 4 * non-text kids
+                                            + text kids (capped at 2) *)
   pcdata_flag : (int, bool) Hashtbl.t;
   (* relation recording *)
-  rel_seen : (int * int * int, unit) Hashtbl.t;
+  mutable rel_seen : Bitmat.t array;     (* per relation, by [rel_code] *)
   mutable rel_pairs : (Tag_rel.relation * int * int) list;
   mutable ancestors : int list;          (* tag stack, top = current node *)
   mutable anc_tags : int list;           (* its distinct tags, latest first seen on top *)
@@ -112,9 +145,9 @@ let new_builder () =
       b_ids = Hashtbl.create 64;
       names_rev = [];
       name_count = 0;
-      frames = [];
+      kids = Grow.create ();
       pcdata_flag = Hashtbl.create 64;
-      rel_seen = Hashtbl.create 256;
+      rel_seen = Array.init 4 (fun _ -> Bitmat.create ());
       rel_pairs = [];
       ancestors = [];
       anc_tags = [];
@@ -150,11 +183,8 @@ let rel_code = function
   | Tag_rel.Following -> 3
 
 let record_rel b rel a tg =
-  let key = (rel_code rel, a, tg) in
-  if not (Hashtbl.mem b.rel_seen key) then begin
-    Hashtbl.add b.rel_seen key ();
+  if Bitmat.add b.rel_seen.(rel_code rel) a tg then
     b.rel_pairs <- (rel, a, tg) :: b.rel_pairs
-  end
 
 let open_node b tg ~leaf =
   (* relations with the context *)
@@ -187,11 +217,12 @@ let open_node b tg ~leaf =
   if b.anc_mult.(tg) = 0 then b.anc_tags <- tg :: b.anc_tags;
   b.anc_mult.(tg) <- b.anc_mult.(tg) + 1;
   b.sibling_frames <- [] :: b.sibling_frames;
-  (match b.frames with
-  | (nontext, text) :: _ ->
-    if tg = text_tag then incr text else incr nontext
-  | [] -> ());
-  b.frames <- (ref 0, ref 0) :: b.frames
+  (let top = b.kids.Grow.n - 1 in
+   if top >= 0 then begin
+     let k = b.kids.Grow.a.(top) in
+     b.kids.Grow.a.(top) <- (if tg <> text_tag then k + 4 else if k land 3 < 2 then k + 1 else k)
+   end);
+  Grow.push b.kids 0
 
 let close_node b =
   match b.ancestors with
@@ -206,14 +237,13 @@ let close_node b =
     b.anc_mult.(tg) <- b.anc_mult.(tg) - 1;
     if b.anc_mult.(tg) = 0 then b.anc_tags <- List.tl b.anc_tags;
     b.sibling_frames <- List.tl b.sibling_frames;
-    (match b.frames with
-    | (nontext, text) :: frest ->
-      b.frames <- frest;
-      let ok = !nontext = 0 && !text <= 1 in
-      (match Hashtbl.find_opt b.pcdata_flag tg with
-      | Some prev -> Hashtbl.replace b.pcdata_flag tg (prev && ok)
-      | None -> Hashtbl.replace b.pcdata_flag tg ok)
-    | [] -> ());
+    (* a node is PCDATA-only with no non-text child and at most one text *)
+    let top = b.kids.Grow.n - 1 in
+    let ok = b.kids.Grow.a.(top) <= 1 in
+    b.kids.Grow.n <- top;
+    (match Hashtbl.find_opt b.pcdata_flag tg with
+    | Some prev -> Hashtbl.replace b.pcdata_flag tg (prev && ok)
+    | None -> Hashtbl.replace b.pcdata_flag tg ok);
     if not (Hashtbl.mem b.closed_flag tg) then begin
       Hashtbl.add b.closed_flag tg ();
       Grow.push b.closed_order tg
@@ -265,6 +295,7 @@ let of_xml ?pool ?backend ?(keep_whitespace = true) ?(sample_rate = 32)
   let texts = Array.of_list (List.rev b.texts_rev) in
   b.names_rev <- [];
   b.texts_rev <- [];
+  b.rel_seen <- [||];
   let backend = match backend with Some bk -> bk | None -> default_backend () in
   (* The tree structures and the text collection depend on disjoint
      builder output, so with a pool the two builds overlap (each also
@@ -478,59 +509,122 @@ let pcdata_only t x =
 (* Serialization                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* One left-to-right scan over the subtree's parentheses, read in
+   chunks of [stride].  Every position carries its tag, so a closing
+   parenthesis names the end tag it writes; the only state is the text
+   counter (started at the subtree's first leaf rank), whether a start
+   tag still waits for its ">" or "/>", and whether the scan is inside
+   an attribute list.  With a budget, the bytes written so far are
+   charged and the deadline is read after every chunk, and the rest at
+   the end.  Nothing here allocates per node or per text. *)
+let stride = 4096
+
+(* The chunk array, one per domain and reused across calls.  A call
+   takes it out of the slot while it scans, so a second serialization
+   on the same domain (a systhread) gets its own. *)
+let chunk_slot : int array option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+(* Charge the serialized bytes written since the last call ([charged]
+   of them were charged before); returns the new running total.  The
+   [dots] that stuffing added are not part of the serialization. *)
+let charge budget buf ~start ~dots ~charged =
+  let written = Buffer.length buf - start - dots in
+  (match budget with
+  | None -> ()
+  | Some b -> Sxsi_qos.Budget.add_bytes b (written - charged));
+  written
+
+let add_text ~framed ~quote buf t d =
+  Xml_parser.add_escaped ~stuff:framed ~quote buf (get_text t d)
+
+(* a single text: the node is a leaf, or an attribute with its value *)
+let text_node budget ~framed buf t d =
+  let start = Buffer.length buf in
+  let dots = add_text ~framed ~quote:false buf t d in
+  ignore (charge budget buf ~start ~dots ~charged:0 : int)
+
+(* an element or the root *)
+let scan_element budget ~framed buf t x =
+  let start = Buffer.length buf in
+  let stop = Tree_backend.close t.tree x + 1 in
+  let slot = Domain.DLS.get chunk_slot in
+  let chunk =
+    match !slot with
+    | Some a ->
+      slot := None;
+      a
+    | None -> Array.make stride 0
+  in
+  let next_text = ref (text_id_of_leaf t x) in
+  let pending = ref false and in_attrs = ref false in
+  let pos = ref x and dots = ref 0 and charged = ref 0 in
+  while !pos < stop do
+    let len = min stride (stop - !pos) in
+    Tree_backend.parens_into t.tree !pos chunk len;
+    for k = 0 to len - 1 do
+      let sym = Array.unsafe_get chunk k in
+      let tg = sym lsr 1 in
+      if sym land 1 = 0 then begin
+        if tg = text_tag || tg = attval_tag then begin
+          if !pending && not !in_attrs then begin
+            Buffer.add_char buf '>';
+            pending := false
+          end;
+          dots := !dots + add_text ~framed ~quote:!in_attrs buf t !next_text;
+          incr next_text
+        end
+        else if tg = attlist_tag then in_attrs := true
+        else if !in_attrs then begin
+          let name = t.names.(tg) in
+          Buffer.add_char buf ' ';
+          Buffer.add_substring buf name 1 (String.length name - 1);
+          Buffer.add_string buf "=\""
+        end
+        else if tg <> root_tag then begin
+          if !pending then Buffer.add_char buf '>';
+          Buffer.add_char buf '<';
+          Buffer.add_string buf t.names.(tg);
+          pending := true
+        end
+      end
+      else if tg = attlist_tag then in_attrs := false
+      else if !in_attrs then (if t.attr_tag.(tg) then Buffer.add_char buf '"')
+      else if t.elem_tag.(tg) then begin
+        if !pending then begin
+          Buffer.add_string buf "/>";
+          pending := false
+        end
+        else begin
+          Buffer.add_string buf "</";
+          Buffer.add_string buf t.names.(tg);
+          Buffer.add_char buf '>'
+        end
+      end
+    done;
+    pos := !pos + len;
+    if !pos < stop then begin
+      charged := charge budget buf ~start ~dots:!dots ~charged:!charged;
+      Option.iter Sxsi_qos.Budget.check_now budget
+    end
+  done;
+  slot := Some chunk;
+  ignore (charge budget buf ~start ~dots:!dots ~charged:!charged : int)
+
+let serialize_into ?budget ?(framed = false) buf t x =
+  let tg = tag_of t x in
+  if tg = text_tag || tg = attval_tag then text_node budget ~framed buf t (text_id_of_leaf t x)
+  else if t.attr_tag.(tg) then begin
+    (* attribute node on its own: serialize as its value *)
+    let lo, hi = text_range t x in
+    if hi > lo then text_node budget ~framed buf t lo
+  end
+  else if tg <> attlist_tag then scan_element budget ~framed buf t x;
+  if framed then Buffer.add_char buf '\n'
+
 let serialize t x =
   let buf = Buffer.create 256 in
-  let rec children_of x f =
-    let c = ref (Tree_backend.first_child t.tree x) in
-    while !c <> nil do
-      f !c;
-      c := Tree_backend.next_sibling t.tree !c
-    done
-  and emit x =
-    let tg = tag_of t x in
-    if tg = text_tag then
-      Buffer.add_string buf (Xml_parser.escape_text (get_text t (text_id_of_leaf t x)))
-    else if tg = attval_tag then
-      Buffer.add_string buf (Xml_parser.escape_text (get_text t (text_id_of_leaf t x)))
-    else if tg = root_tag then children_of x emit
-    else if tg = attlist_tag then ()
-    else if t.attr_tag.(tg) then begin
-      (* attribute node on its own: serialize as its value *)
-      let lo, hi = text_range t x in
-      if hi > lo then Buffer.add_string buf (Xml_parser.escape_text (get_text t lo))
-    end
-    else begin
-      let name = t.names.(tg) in
-      Buffer.add_char buf '<';
-      Buffer.add_string buf name;
-      (* attributes live under a first child labeled "@" *)
-      let first = Tree_backend.first_child t.tree x in
-      let has_attlist = first <> nil && tag_of t first = attlist_tag in
-      if has_attlist then
-        children_of first (fun a ->
-            let aname = t.names.(tag_of t a) in
-            Buffer.add_char buf ' ';
-            Buffer.add_string buf (String.sub aname 1 (String.length aname - 1));
-            Buffer.add_string buf "=\"";
-            let lo, hi = text_range t a in
-            if hi > lo then Buffer.add_string buf (Xml_parser.escape_attr (get_text t lo));
-            Buffer.add_string buf "\"");
-      let content_start = if has_attlist then Tree_backend.next_sibling t.tree first else first in
-      if content_start = nil then Buffer.add_string buf "/>"
-      else begin
-        Buffer.add_char buf '>';
-        let c = ref content_start in
-        while !c <> nil do
-          emit !c;
-          c := Tree_backend.next_sibling t.tree !c
-        done;
-        Buffer.add_string buf "</";
-        Buffer.add_string buf name;
-        Buffer.add_char buf '>'
-      end
-    end
-  in
-  emit x;
+  serialize_into buf t x;
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)

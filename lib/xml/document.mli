@@ -164,8 +164,24 @@ val pcdata_only : t -> node -> bool
 
 (** {1 Serialization (§4.3)} *)
 
+val serialize_into :
+  ?budget:Sxsi_qos.Budget.t -> ?framed:bool -> Buffer.t -> t -> node -> unit
+(** Append the XML serialization of the subtree ([GetSubtree]) to the
+    buffer, in one left-to-right pass over its parentheses.
+
+    [framed] (default [false]) writes it as lines of a protocol DATA
+    payload instead: a ['.'] that starts a line is doubled (see
+    {!Xml_parser.add_escaped}; the buffer must end with ["\n"] or be
+    empty, as after a ["DATA"] header or an earlier framed node), and
+    the node ends with ["\n"].
+
+    [budget] is charged the unstuffed serialized length, in steps of a
+    few thousand parentheses, and its deadline is checked at each step;
+    a blown budget raises {!Sxsi_qos.Budget.Exceeded} with the buffer
+    holding a partial node. *)
+
 val serialize : t -> node -> string
-(** Recreate the XML serialization of the subtree ([GetSubtree]). *)
+(** The serialization {!serialize_into} writes, as a string. *)
 
 val space_bits : t -> int
 val tree_space_bits : t -> int

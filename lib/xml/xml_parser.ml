@@ -250,22 +250,64 @@ let parse ~on_open ~on_close ~on_text src =
   in
   loop ()
 
-let escape_gen escape_quote s =
-  let needs =
-    String.exists (fun c -> c = '&' || c = '<' || c = '>' || (escape_quote && c = '"')) s
-  in
-  if not needs then s
+(* Bytes [add_escaped] must look at, one table per (quote, stuff)
+   mode, so that the copy loop tests one table entry per byte. *)
+let special_tables =
+  Array.init 4 (fun mode ->
+      Bytes.init 256 (fun c ->
+          match Char.chr c with
+          | '&' | '<' | '>' -> '\001'
+          | '"' when mode land 1 = 1 -> '\001'
+          | '\n' when mode land 2 = 2 -> '\001'
+          | _ -> '\000'))
+
+(* Runs without a special byte are copied with one [add_substring]
+   each.  With [stuff], a '.' that starts a line of the buffer is
+   doubled: after each '\n' of [s], and at the start of [s] when the
+   buffer is empty or ends with '\n'. *)
+let add_escaped ~stuff ~quote buf s =
+  let n = String.length s in
+  let dots = ref 0 in
+  if stuff && n > 0 && String.unsafe_get s 0 = '.' then begin
+    let l = Buffer.length buf in
+    if l = 0 || Buffer.nth buf (l - 1) = '\n' then begin
+      Buffer.add_char buf '.';
+      incr dots
+    end
+  end;
+  let tbl = special_tables.((if quote then 1 else 0) + if stuff then 2 else 0) in
+  let start = ref 0 and i = ref 0 in
+  while !i < n do
+    while !i < n && Bytes.unsafe_get tbl (Char.code (String.unsafe_get s !i)) = '\000' do
+      incr i
+    done;
+    if !i < n then begin
+      Buffer.add_substring buf s !start (!i - !start);
+      (match String.unsafe_get s !i with
+      | '&' -> Buffer.add_string buf "&amp;"
+      | '<' -> Buffer.add_string buf "&lt;"
+      | '>' -> Buffer.add_string buf "&gt;"
+      | '"' -> Buffer.add_string buf "&quot;"
+      | _ ->
+        (* '\n' under [stuff] *)
+        Buffer.add_char buf '\n';
+        if !i + 1 < n && String.unsafe_get s (!i + 1) = '.' then begin
+          Buffer.add_char buf '.';
+          incr dots
+        end);
+      incr i;
+      start := !i
+    end
+  done;
+  Buffer.add_substring buf s !start (n - !start);
+  !dots
+
+let escape_gen quote s =
+  if not (String.exists (fun c -> c = '&' || c = '<' || c = '>' || (quote && c = '"')) s)
+  then s
   else begin
     let buf = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '&' -> Buffer.add_string buf "&amp;"
-        | '<' -> Buffer.add_string buf "&lt;"
-        | '>' -> Buffer.add_string buf "&gt;"
-        | '"' when escape_quote -> Buffer.add_string buf "&quot;"
-        | _ -> Buffer.add_char buf c)
-      s;
+    ignore (add_escaped ~stuff:false ~quote buf s : int);
     Buffer.contents buf
   end
 

@@ -20,6 +20,15 @@ val parse :
     whitespace-only); attribute values are entity-decoded too.
     @raise Parse_error on malformed input. *)
 
+val add_escaped : stuff:bool -> quote:bool -> Buffer.t -> string -> int
+(** [add_escaped ~stuff ~quote buf s] appends [s] to [buf] with ["&<>"]
+    escaped, and ['"'] too when [quote] is set (a double-quoted attribute
+    value).  With [stuff] the bytes are also dot-stuffed as
+    protocol DATA lines: a ['.'] that starts a line of [buf] (after a
+    ["\n"] of [s], or at the start of [s] when [buf] is empty or ends
+    with ["\n"]) is written twice.  Returns the number of stuffing
+    bytes added, so that callers can count the unstuffed length. *)
+
 val escape_text : string -> string
 (** Escape ["&<>"] for serialization as character data. *)
 

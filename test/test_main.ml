@@ -22,4 +22,5 @@ let () =
       Test_backend.suite;
       Test_evloop.suite;
       Test_prof.suite;
+      Test_materialize.suite;
     ]

@@ -217,10 +217,16 @@ let stat_of_lines lines key =
 let expect_ok = function
   | Protocol.Ok toks -> toks
   | Protocol.Err msg -> Alcotest.fail ("unexpected ERR: " ^ msg)
-  | Protocol.Data _ -> Alcotest.fail "unexpected DATA"
+  | Protocol.Data _ | Protocol.Framed _ -> Alcotest.fail "unexpected DATA"
 
-let expect_data = function
+(* the payload lines of a DATA response, whether built as lines or
+   already framed for the wire *)
+let rec expect_data = function
   | Protocol.Data lines -> lines
+  | Protocol.Framed wire as r -> (
+    match Protocol.parse_response (split_wire wire) with
+    | Ok ((Protocol.Data _ as d), []) -> expect_data d
+    | _ -> Alcotest.fail ("malformed framed DATA: " ^ Protocol.print_response r))
   | Protocol.Err msg -> Alcotest.fail ("unexpected ERR: " ^ msg)
   | Protocol.Ok _ -> Alcotest.fail "unexpected OK"
 
