@@ -418,42 +418,14 @@ let serve_cmd =
   let host_arg =
     Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"ADDR" ~doc:"Address to bind")
   in
-  let workers_arg =
-    Arg.(value & opt int 4 & info [ "workers" ] ~docv:"N"
-           ~doc:"Fixed number of session worker domains ($(b,--serve-mode=threaded) only)")
-  in
-  let queue_arg =
-    Arg.(value & opt int 64 & info [ "queue" ] ~docv:"N"
-           ~doc:"Accepted-connection queue bound; beyond it new connections are \
-                 refused with an ERR response ($(b,--serve-mode=threaded) only)")
-  in
-  (* the default mode honors SXSI_SERVE_MODE so the whole test/bench
-     matrix can flip front ends without threading a flag everywhere *)
-  let default_serve_mode =
-    match Sys.getenv_opt "SXSI_SERVE_MODE" with
-    | Some "threaded" -> `Threaded
-    | Some "evloop" | None | Some _ -> `Evloop
-  in
-  let serve_mode_arg =
-    Arg.(value
-         & opt (enum [ ("evloop", `Evloop); ("threaded", `Threaded) ]) default_serve_mode
-         & info [ "serve-mode" ] ~docv:"MODE"
-             ~doc:"Front end: $(b,evloop) (default; single non-blocking loop domain, \
-                   pipelining, single-flight query coalescing, one executor domain \
-                   per shard) or $(b,threaded) (blocking accept loop, fixed worker \
-                   pool, bounded accept queue).  The default honors the \
-                   $(b,SXSI_SERVE_MODE) environment variable")
-  in
   let shards_arg =
     Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N"
-           ~doc:"Shared-nothing shards for $(b,--serve-mode=evloop): documents hash \
-                 to one of N independent services, each with its own registry, \
-                 caches and executor domain")
+           ~doc:"Shared-nothing shards: documents hash to one of N independent \
+                 services, each with its own registry, caches and executor domain")
   in
   let idle_ms_arg =
     Arg.(value & opt int 0 & info [ "idle-ms" ] ~docv:"MS"
-           ~doc:"Close connections idle for MS milliseconds with ERR IDLE \
-                 ($(b,--serve-mode=evloop); 0 disables)")
+           ~doc:"Close connections idle for MS milliseconds with ERR IDLE (0 disables)")
   in
   let profile_hz_arg =
     Arg.(value & opt int Sxsi_prof.Prof.default_hz & info [ "profile-hz" ] ~docv:"HZ"
@@ -461,8 +433,8 @@ let serve_cmd =
                  PROFILE request and $(b,sxsi profile) (default 997; 0 starts \
                  it lazily on the first PROFILE instead)")
   in
-  let run host port mode shards idle_ms profile_hz workers queue max_mb cc kc nj nm opt
-      dom bk timeout maxr fr slow_ms slow_log specs =
+  let run host port shards idle_ms profile_hz max_mb cc kc nj nm opt dom bk timeout maxr
+      fr slow_ms slow_log specs =
     guarded (fun () ->
         let slow_log = obs_setup fr slow_ms slow_log in
         if profile_hz > 0 then begin
@@ -471,60 +443,46 @@ let serve_cmd =
         end;
         let options = service_options max_mb cc kc nj nm opt dom bk timeout maxr slow_ms in
         let on_listen p = Printf.eprintf "sxsi: listening on %s:%d\n%!" host p in
+        (* the slow-log sink is owned (and closed) by the primary *)
+        let sh =
+          Sxsi_service.Shards.create ~shards:(max 1 shards) (fun i ->
+              if i = 0 then Sxsi_service.Service.create ~options ?slow_log ()
+              else Sxsi_service.Service.create ~options ())
+        in
         (* with the recorder on, also sample the runtime (GC + ring
            occupancy) in the background and expose it via METRICS *)
-        let sampler svc =
+        let sampler =
           if fr then begin
             let s = Sxsi_obs.Runtime.create () in
-            Sxsi_service.Service.register_runtime svc s;
+            Sxsi_service.Service.register_runtime (Sxsi_service.Shards.primary sh) s;
             Sxsi_obs.Runtime.start s;
             Some s
           end
           else None
         in
-        match mode with
-        | `Threaded ->
-          let svc = Sxsi_service.Service.create ~options ?slow_log () in
-          let sampler = sampler svc in
-          Fun.protect
-            ~finally:(fun () ->
-              Option.iter Sxsi_obs.Runtime.stop sampler;
-              Sxsi_service.Service.shutdown svc)
-            (fun () ->
-              preload svc specs;
-              Sxsi_service.Server.serve ~host ~workers ~queue ~on_listen ~port svc)
-        | `Evloop ->
-          (* the slow-log sink is owned (and closed) by the primary *)
-          let sh =
-            Sxsi_service.Shards.create ~shards:(max 1 shards) (fun i ->
-                if i = 0 then Sxsi_service.Service.create ~options ?slow_log ()
-                else Sxsi_service.Service.create ~options ())
-          in
-          let sampler = sampler (Sxsi_service.Shards.primary sh) in
-          Fun.protect
-            ~finally:(fun () ->
-              Option.iter Sxsi_obs.Runtime.stop sampler;
-              Sxsi_service.Shards.shutdown sh)
-            (fun () ->
-              List.iter
-                (fun spec ->
-                  match String.index_opt spec '=' with
-                  | None -> failwith (Printf.sprintf "--load %s: expected NAME=FILE" spec)
-                  | Some i ->
-                    let name = String.sub spec 0 i in
-                    preload (Sxsi_service.Shards.for_doc sh name) [ spec ])
-                specs;
-              Sxsi_service.Ev_server.serve ~host ~idle_ms ~on_listen ~port sh))
+        Fun.protect
+          ~finally:(fun () ->
+            Option.iter Sxsi_obs.Runtime.stop sampler;
+            Sxsi_service.Shards.shutdown sh)
+          (fun () ->
+            List.iter
+              (fun spec ->
+                match String.index_opt spec '=' with
+                | None -> failwith (Printf.sprintf "--load %s: expected NAME=FILE" spec)
+                | Some i ->
+                  let name = String.sub spec 0 i in
+                  preload (Sxsi_service.Shards.for_doc sh name) [ spec ])
+              specs;
+            Sxsi_service.Ev_server.serve ~host ~idle_ms ~on_listen ~port sh))
   in
   Cmd.v
     (Cmd.info "serve"
-       ~doc:"Serve the protocol over TCP: an event-driven front end (non-blocking \
+       ~doc:"Serve the protocol over TCP from an event-driven front end (non-blocking \
              loop, pipelining, single-flight query coalescing, shared-nothing \
-             shards) by default, or a fixed pool of worker domains with a bounded \
-             accept queue with $(b,--serve-mode=threaded); documents and compiled \
-             queries are cached and shared across connections")
-    Term.(const run $ host_arg $ port_arg $ serve_mode_arg $ shards_arg $ idle_ms_arg
-          $ profile_hz_arg $ workers_arg $ queue_arg $ max_doc_mb_arg
+             shards); documents and compiled queries are cached and shared \
+             across connections")
+    Term.(const run $ host_arg $ port_arg $ shards_arg $ idle_ms_arg
+          $ profile_hz_arg $ max_doc_mb_arg
           $ compiled_cache_arg $ count_cache_arg $ no_jump $ no_memo $ optimize_arg
           $ domains_arg $ backend_arg $ timeout_arg $ max_results_arg
           $ flight_recorder_arg $ slow_ms_arg $ slow_log_arg $ preload_arg)

@@ -21,8 +21,7 @@
    Deadlines are charged from submission: the executor measures how
    long the request sat in its queue and passes it to the service as
    [elapsed_ns], so a request that queued past its deadline fails
-   before doing any work — the evloop analog of the threaded server's
-   accept-queue charging. *)
+   before doing any work. *)
 
 module Counter = Sxsi_obs.Counter
 module Clock = Sxsi_obs.Clock
@@ -50,8 +49,7 @@ let shed_retry_after_ms = 100
 (* ------------------------------------------------------------------ *)
 
 (* One domain per shard, fed through a blocking queue.  Jobs enqueued
-   before [close] still run, mirroring the threaded server's
-   drain-on-shutdown queue. *)
+   before [close] still run, so shutdown drains the queue. *)
 type exec = {
   jobs : (unit -> unit) Queue.t;
   em : Mutex.t;
@@ -151,10 +149,6 @@ type t = {
 }
 
 and waiter = { wc : conn; wslot : slot; wsvc : Service.t }
-
-let chomp_cr s =
-  let n = String.length s in
-  if n > 0 && s.[n - 1] = '\r' then String.sub s 0 (n - 1) else s
 
 let close_conn t c =
   if not c.closed then begin
@@ -392,7 +386,7 @@ let rec parse_buffered t c =
     else
       match Netbuf.next_line c.rbuf ~max_line:t.max_line with
       | Netbuf.Line l ->
-        submit t c (chomp_cr l);
+        submit t c (Server.chomp_cr l);
         parse_buffered t c
       | Netbuf.Too_long ->
         c.draining <- true;
@@ -408,13 +402,13 @@ let on_readable t c =
   | Netbuf.Fill_would_block -> ()
   | Netbuf.Eof ->
     (* half-close: frame what was buffered; a trailing unterminated
-       line still gets an answer, like the threaded reader's
+       line still gets an answer, like the repl reader's
        EOF-as-end-of-line *)
     parse_buffered t c;
     if (not c.closing) && (not c.draining) && Netbuf.length c.rbuf > 0 then begin
       let tail = Netbuf.contents c.rbuf in
       Netbuf.clear c.rbuf;
-      submit t c (chomp_cr tail)
+      submit t c (Server.chomp_cr tail)
     end;
     c.closing <- true;
     c.draining <- false;
@@ -527,11 +521,13 @@ let register_metrics t =
   (* a service can only register a given exposition name once; a
      second serve over the same service keeps the first wiring *)
   try
-    Service.register_server primary
-      ~workers:(fun () -> Shards.count t.shards)
-      ~queue_depth:(fun () ->
-        Array.fold_left (fun acc e -> acc + exec_depth e) 0 t.execs);
     Service.register_exposition primary (fun e ->
+        let gauge = Sxsi_obs.Exposition.register_gauge e in
+        gauge ~help:"Shard executor domains." ~name:"sxsi_server_workers" (fun () ->
+            float_of_int (Array.length t.execs));
+        gauge ~help:"Requests waiting in the shard executor queues."
+          ~name:"sxsi_server_queue_depth" (fun () ->
+            float_of_int (Array.fold_left (fun acc ex -> acc + exec_depth ex) 0 t.execs));
         let counter = Sxsi_obs.Exposition.register_counter e in
         counter ~help:"Event-loop turns." ~name:"sxsi_evloop_turns_total"
           (Loop.turns_counter t.loop);
@@ -546,7 +542,6 @@ let register_metrics t =
           (Single_flight.coalesced_counter t.sf);
         counter ~help:"Connections closed by the idle timeout."
           ~name:"sxsi_evloop_idle_closed_total" t.idle_closed;
-        let gauge = Sxsi_obs.Exposition.register_gauge e in
         gauge ~help:"Open connections." ~name:"sxsi_evloop_connections" (fun () ->
             float_of_int (Hashtbl.length t.conns));
         gauge ~help:"Shards." ~name:"sxsi_evloop_shards" (fun () ->
@@ -608,7 +603,10 @@ let serve ?(host = "127.0.0.1") ?(backlog = 64) ?(max_line = Server.default_max_
       List.iter (close_conn t) live;
       Array.iter exec_close t.execs;
       Array.iter Domain.join domains;
-      Loop.close loop)
+      Loop.close loop;
+      (* the loop's profiler slot goes with it, as the executors'
+         do: a dead slot would be sampled as unattributed time *)
+      J.retire_slot ())
     (fun () ->
       Unix.setsockopt lsock Unix.SO_REUSEADDR true;
       Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));

@@ -1,8 +1,6 @@
-(** The event-driven TCP front end: a single non-blocking loop domain
-    owning every socket, one executor domain per {!Shards} shard
-    owning that shard's {!Service.t}.
-
-    Differences from the threaded {!Server}:
+(** The TCP front end: a single non-blocking loop domain owning every
+    socket, one executor domain per {!Shards} shard owning that shard's
+    {!Service.t}.
 
     {ul
     {- {b Pipelining.}  Clients may send many requests without reading
@@ -19,17 +17,20 @@
        mutation.}
     {- {b Backpressure.}  A connection whose write buffer exceeds the
        high-water mark stops being read from until it drains.}
+    {- {b Load shedding.}  Beyond [max_conns] open connections, a new
+       connection is sent [ERR SHED ... retry-after-ms=<n>] and
+       closed.}
     {- {b Idle timeout.}  With [idle_ms > 0], a connection with no
        read activity and nothing in flight for that long is sent
        [ERR IDLE ...] and closed.}
     {- {b Deadline charging.}  Time a request spends queued for its
-       shard executor is charged against its deadline, like the
-       threaded server's accept-queue charging.}}
+       shard executor is charged against its deadline and recorded in
+       the admission-wait histogram.}}
 
-    Byte-compatibility: with one shard, every response is rendered by
-    the same {!Service.handle_line} the threaded server uses ([STATS]
-    gains trailing [ev_*] keys).  With several shards, [STATS] and
-    [METRICS] aggregate across shards ({!Shards.stats}). *)
+    Responses: with one shard, every response is rendered by
+    {!Service.handle_line}, as in {!Server.session} ([STATS] gains
+    trailing [ev_*] keys).  With several shards, [STATS] and [METRICS]
+    aggregate across shards ({!Shards.stats}). *)
 
 val serve :
   ?host:string ->
@@ -48,7 +49,9 @@ val serve :
     [port] ([0] picks an ephemeral port, reported through [on_listen])
     and turns the event loop until [stop ()] returns [true] (checked
     at least every 200ms).  On return the listener and every
-    connection are closed and every executor domain joined.
+    connection are closed, every executor domain joined, and the
+    calling domain's profiler slot retired
+    ({!Sxsi_obs.Journal.retire_slot}).
 
     [max_line] bounds a request line ({!Server.default_max_line});
     longer lines are drained and answered [ERR TOOLONG].  [high_water]

@@ -1,27 +1,24 @@
 module J = Sxsi_obs.Journal
 
-let n_accept = J.name "service/accept"
-let n_queue = J.name "service/queue"
 let n_write = J.name "service/write"
-let n_shed = J.name "service/shed"
 
 (* Request lines are read through a bounded reader: a protocol line is
    small (a verb, a name, a query), so anything longer than
-   [max_line] is abuse or a framing bug.  The oversized line is
+   [default_max_line] is abuse or a framing bug.  The oversized line is
    drained to its newline — the session stays usable — and answered
    with ERR TOOLONG. *)
 let default_max_line = 64 * 1024
 
 type line = Line of string | Too_long | Eof
 
-let read_request_line ?(max_line = default_max_line) ic =
+let read_request_line ic =
   let buf = Buffer.create 128 in
   let rec fill () =
     match input_char ic with
     | exception End_of_file -> if Buffer.length buf = 0 then Eof else Line (Buffer.contents buf)
     | '\n' -> Line (Buffer.contents buf)
     | c ->
-      if Buffer.length buf >= max_line then begin
+      if Buffer.length buf >= default_max_line then begin
         (* drain the rest of the oversized line; EOF here still counts
            as end-of-line so the TOOLONG answer is sent *)
         (try
@@ -43,22 +40,18 @@ let chomp_cr s =
   let n = String.length s in
   if n > 0 && s.[n - 1] = '\r' then String.sub s 0 (n - 1) else s
 
-let session ?max_line ?(elapsed_ns = 0) ic oc svc =
+let session ic oc svc =
   (* session-level deadline override, set by the DEADLINE verb; [None]
      defers to the service's [default_deadline_ms] *)
   let deadline_ms = ref None in
-  (* accept-queue wait is charged against the first request only: later
-     requests did not wait in the queue *)
-  let pending_wait = ref elapsed_ns in
   let rec loop () =
-    match read_request_line ?max_line ic with
+    match read_request_line ic with
     | Eof -> ()
     | Too_long ->
       let resp =
         Service.reject svc
           (Protocol.err "TOOLONG"
-             (Printf.sprintf "request line longer than %d bytes"
-                (match max_line with Some n -> n | None -> default_max_line)))
+             (Printf.sprintf "request line longer than %d bytes" default_max_line))
       in
       output_string oc (Protocol.print_response resp);
       flush oc;
@@ -68,11 +61,7 @@ let session ?max_line ?(elapsed_ns = 0) ic oc svc =
       (match Protocol.parse_request line with
       | Ok (Protocol.Deadline ms) -> deadline_ms := Some ms
       | _ -> ());
-      let wait = !pending_wait in
-      pending_wait := 0;
-      let resp =
-        Service.handle_line ?deadline_ms:!deadline_ms ~elapsed_ns:wait svc line
-      in
+      let resp = Service.handle_line ?deadline_ms:!deadline_ms svc line in
       J.with_span J.Service n_write (fun () ->
           output_string oc (Protocol.print_response resp);
           flush oc);
@@ -80,132 +69,3 @@ let session ?max_line ?(elapsed_ns = 0) ic oc svc =
       if not quit then loop ()
   in
   loop ()
-
-(* Bounded hand-off queue between the accept loop and the fixed worker
-   domains.  [try_push] refuses instead of blocking — the accept loop
-   must keep polling [stop] — and [pop] keeps draining queued
-   connections after [close], so accepted clients are still served
-   during shutdown.  Items carry their enqueue timestamp so the worker
-   can account the admission wait and charge it to the session's first
-   deadline. *)
-type queue = {
-  m : Mutex.t;
-  nonempty : Condition.t;
-  items : (Unix.file_descr * int) Queue.t;  (* fd, enqueue time (Clock ns) *)
-  cap : int;
-  mutable closed : bool;
-}
-
-let queue_create cap =
-  { m = Mutex.create (); nonempty = Condition.create (); items = Queue.create (); cap; closed = false }
-
-let try_push q fd =
-  Mutex.protect q.m (fun () ->
-      if q.closed || Queue.length q.items >= q.cap then false
-      else begin
-        Queue.push (fd, Sxsi_obs.Clock.now_ns ()) q.items;
-        Condition.signal q.nonempty;
-        true
-      end)
-
-let pop q =
-  Mutex.protect q.m (fun () ->
-      let rec wait () =
-        if not (Queue.is_empty q.items) then Some (Queue.pop q.items)
-        else if q.closed then None
-        else begin
-          Condition.wait q.nonempty q.m;
-          wait ()
-        end
-      in
-      wait ())
-
-let queue_close q =
-  Mutex.protect q.m (fun () ->
-      q.closed <- true;
-      Condition.broadcast q.nonempty)
-
-let queue_depth q = Mutex.protect q.m (fun () -> Queue.length q.items)
-
-let handle_connection svc fd ~elapsed_ns =
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () -> try session ~elapsed_ns ic oc svc with Sys_error _ | Unix.Unix_error _ -> ())
-
-(* Load shedding: answer with one ERR line and close, so a client sees
-   a protocol-shaped refusal rather than a hung connection.  The
-   retry-after hint is the crude truth: try again once the queue has
-   had a moment to drain. *)
-let shed_retry_after_ms = 100
-
-let shed svc metrics fd =
-  Sxsi_obs.Counter.incr metrics.Metrics.connections_shed;
-  J.instant J.Service n_shed ();
-  (try
-     let oc = Unix.out_channel_of_descr fd in
-     let resp =
-       Service.reject svc
-         (Protocol.err ~retry_after_ms:shed_retry_after_ms "SHED"
-            "server busy: accept queue full")
-     in
-     output_string oc (Protocol.print_response resp);
-     flush oc
-   with Sys_error _ | Unix.Unix_error _ -> ());
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-let serve ?(host = "127.0.0.1") ?(backlog = 64) ?(workers = 4) ?(queue = 64)
-    ?(on_listen = fun _ -> ()) ?(stop = fun () -> false) ~port svc =
-  let nworkers = max 1 workers in
-  let q = queue_create (max 1 queue) in
-  let metrics = Service.service_metrics svc in
-  Service.register_server svc
-    ~workers:(fun () -> nworkers)
-    ~queue_depth:(fun () -> queue_depth q);
-  let worker () =
-    let rec loop () =
-      match pop q with
-      | None -> ()
-      | Some (fd, enqueued_ns) ->
-        let wait = Sxsi_obs.Clock.since enqueued_ns in
-        (* the queue wait happened on no domain in particular: record
-           it on the worker's ring, backdated to the enqueue time *)
-        J.begin_span J.Service n_queue ~ts:enqueued_ns ();
-        J.end_span J.Service n_queue ();
-        Service.record_admission_wait svc wait;
-        handle_connection svc fd ~elapsed_ns:wait;
-        Sxsi_obs.Counter.incr metrics.Metrics.connections_closed;
-        loop ()
-    in
-    loop ()
-  in
-  let domains = Array.init nworkers (fun _ -> Domain.spawn worker) in
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () ->
-      (* stop accepting, serve what was queued, join every worker: no
-         domain outlives [serve] *)
-      (try Unix.close sock with Unix.Unix_error _ -> ());
-      queue_close q;
-      Array.iter Domain.join domains)
-    (fun () ->
-      Unix.setsockopt sock Unix.SO_REUSEADDR true;
-      Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-      Unix.listen sock backlog;
-      (match Unix.getsockname sock with
-      | Unix.ADDR_INET (_, p) -> on_listen p
-      | _ -> ());
-      (* a short accept timeout so [stop] is polled even when idle *)
-      Unix.setsockopt_float sock Unix.SO_RCVTIMEO 0.2;
-      while not (stop ()) do
-        match Unix.accept sock with
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-          ()
-        | fd, _ ->
-          if try_push q fd then begin
-            J.instant J.Service n_accept ();
-            Sxsi_obs.Counter.incr metrics.Metrics.connections_opened
-          end
-          else shed svc metrics fd
-      done)

@@ -1,51 +1,18 @@
-(** TCP front end: a blocking accept loop feeding a bounded hand-off
-    queue drained by a fixed pool of worker domains, each running the
-    {!Protocol} line protocol over the shared {!Service.t}.
-
-    Concurrency is capped at [workers] sessions: when all workers are
-    busy and the queue is full, new connections are refused with an
-    [ERR SHED ... retry-after-ms=<n>] line (load shedding) instead of
-    piling up a domain per connection.  Request lines are length-bounded;
-    an oversized line is drained and answered [ERR TOOLONG] without
-    dropping the session.  Time a connection spends in the accept queue
-    is recorded in the admission-wait histogram and charged against the
-    deadline of the session's first request, so a request that queued
-    past its deadline fails fast instead of running anyway.  The
-    connection counters and the worker/queue gauges appear in the
-    service's [METRICS] output. *)
+(** The protocol over a pair of channels: one blocking session, as
+    [sxsi repl] runs it over stdin/stdout.  The TCP front end is
+    {!Ev_server}. *)
 
 val default_max_line : int
 (** Default bound on a request line, in bytes (64 KiB). *)
 
-val serve :
-  ?host:string ->
-  ?backlog:int ->
-  ?workers:int ->
-  ?queue:int ->
-  ?on_listen:(int -> unit) ->
-  ?stop:(unit -> bool) ->
-  port:int ->
-  Service.t ->
-  unit
-(** [serve ~port svc] binds [host] (default ["127.0.0.1"]) on [port]
-    ([0] picks an ephemeral port, reported through [on_listen]) and
-    serves until [stop ()] (polled between accepts, default: never)
-    returns [true].  [workers] (default [4], clamped to at least [1])
-    fixes the session concurrency; [queue] (default [64]) bounds the
-    accepted-but-unserved backlog.  Each connection reads one request
-    per line and gets the rendered response; [QUIT] or EOF ends the
-    connection.  On return every worker domain has been joined —
-    connections already queued are served first, so no session is
-    dropped and no domain leaks. *)
+val chomp_cr : string -> string
+(** Drop one trailing ['\r'], so CRLF clients frame like LF ones. *)
 
-val session :
-  ?max_line:int -> ?elapsed_ns:int -> in_channel -> out_channel -> Service.t -> unit
-(** One protocol session over arbitrary channels: the per-connection
-    loop of {!serve}, also usable for an stdin/stdout REPL.
+val session : in_channel -> out_channel -> Service.t -> unit
+(** Read one request per line from the input channel and write each
+    rendered response to the output channel, until [QUIT] or EOF.
 
-    Reads at most [max_line] (default {!default_max_line}) bytes per
-    request line, answering [ERR TOOLONG] for longer ones.  Tracks the
-    session's [DEADLINE] override and passes it to
-    {!Service.handle_line}; [elapsed_ns] (default [0]) is charged
-    against the first request's deadline — {!serve} passes the
-    connection's accept-queue wait. *)
+    Reads at most {!default_max_line} bytes per request line,
+    answering [ERR TOOLONG] for longer ones; the line is
+    drained and the session goes on.  Tracks the session's [DEADLINE]
+    override and passes it to {!Service.handle_line}. *)

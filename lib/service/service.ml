@@ -99,7 +99,7 @@ let build_exposition ~metrics ~registry ~compiled ~counts ~breakers ~breakers_lo
     metrics.Metrics.connections_opened;
   counter ~help:"Sessions finished, for any reason." ~name:"sxsi_connections_closed_total"
     metrics.Metrics.connections_closed;
-  counter ~help:"Connections refused because the accept queue was full."
+  counter ~help:"Connections refused because the connection limit was reached."
     ~name:"sxsi_connections_shed_total" metrics.Metrics.connections_shed;
   Sxsi_obs.Exposition.register_histogram e
     ~help:"Request latency." ~scale:1e-9 ~name:"sxsi_request_duration_seconds"
@@ -221,18 +221,10 @@ let shutdown t =
   Option.iter Sxsi_par.Pool.shutdown t.pool;
   Option.iter Sxsi_obs.Slowlog.close t.slow_log
 
-(* Server front ends hang their worker/queue gauges off the service's
-   exposition so METRICS reports them alongside everything else. *)
-let register_server t ~workers ~queue_depth =
-  Mutex.protect t.lock (fun () ->
-      let gauge = Sxsi_obs.Exposition.register_gauge t.exposition in
-      gauge ~help:"Server worker domains." ~name:"sxsi_server_workers" (fun () ->
-          float_of_int (workers ()));
-      gauge ~help:"Connections waiting in the accept queue."
-        ~name:"sxsi_server_queue_depth" (fun () -> float_of_int (queue_depth ())))
-
-(* Front ends with their own instrumentation (the event loop's turn
-   and coalescing counters) register it under the same lock. *)
+(* The front end hangs its own instrumentation (the event loop's turn
+   and coalescing counters, the executor gauges) off the service's
+   exposition, under the service lock, so METRICS reports it alongside
+   everything else. *)
 let register_exposition t f = Mutex.protect t.lock (fun () -> f t.exposition)
 
 (* Likewise for the runtime sampler: the serve front end starts one
@@ -412,7 +404,7 @@ let breaker_for t doc =
              b))
 
 (* The request budget: session deadline (or the configured default)
-   minus whatever the request already spent waiting in the accept
+   minus whatever the request already spent waiting in its executor's
    queue, plus the configured result/byte caps.  [None] when nothing
    bounds this request. *)
 let budget_for t ~deadline_ms ~elapsed_ns =
@@ -589,8 +581,8 @@ let dispatch t ~deadline_ms ~elapsed_ns (req : Protocol.request) : Protocol.resp
   | Profile secs ->
     (* sample the whole process for the window, then answer with the
        JSON report followed by the collapsed-stack lines.  Blocks the
-       calling worker; the event-driven front end never routes Profile
-       here (it diffs snapshots off a loop timer instead). *)
+       caller (a repl session); the event-driven front end never routes
+       Profile here (it diffs snapshots off a loop timer instead). *)
     Sxsi_prof.Prof.ensure_started ();
     let since = Sxsi_prof.Prof.snapshot () in
     Unix.sleepf (float_of_int secs);

@@ -81,15 +81,11 @@ val shutdown : t -> unit
 (** Join the build pool's domains, if any, and close the
     slow-query log.  Call once no request is in flight; idempotent. *)
 
-val register_server : t -> workers:(unit -> int) -> queue_depth:(unit -> int) -> unit
-(** Hang a server front end's worker-count and accept-queue-depth
-    gauges off the service exposition, so [METRICS] reports them
-    alongside the request counters. *)
-
 val register_exposition : t -> (Sxsi_obs.Exposition.t -> unit) -> unit
 (** Run a registration callback against the service's exposition under
     the service lock — how a front end with its own instrumentation
-    (the event loop's turn and coalescing counters) joins [METRICS]. *)
+    (the event loop's turn and coalescing counters, the executor
+    gauges) joins [METRICS]. *)
 
 val register_runtime : t -> Sxsi_obs.Runtime.t -> unit
 (** Register a runtime sampler's GC/journal series
@@ -107,8 +103,9 @@ val handle :
     [deadline_ms] overrides [options.default_deadline_ms] for this
     request (a session's [DEADLINE] setting; 0 disables the deadline
     entirely).  [elapsed_ns] is time the request already spent before
-    reaching the service — accept-queue wait — and is charged against
-    the deadline, so a request that queued past its deadline fails
+    reaching the service — its wait in the shard executor's queue — and
+    is charged against the deadline, so a request that queued past its
+    deadline fails
     with [ERR DEADLINE] before doing any work.  Budget overruns inside
     evaluation surface as [ERR DEADLINE] / [ERR BUDGET]; open circuit
     breakers as [ERR BREAKER]; tripped failpoints as [ERR INJECTED]. *)
@@ -125,17 +122,17 @@ val reject : t -> Protocol.response -> Protocol.response
     for [Err] — error counters, and return the response unchanged. *)
 
 val record_admission_wait : t -> int -> unit
-(** Record one connection's accept-queue wait (nanoseconds) in the
-    admission-wait histogram. *)
+(** Record one request's wait in its shard executor's queue
+    (nanoseconds) in the admission-wait histogram. *)
 
 val profile_response : Sxsi_prof.Prof.snapshot -> Protocol.response
 (** Render the profile window that opened at [since] as the [PROFILE]
     response: a [Data] block whose first line is the
     {!Sxsi_prof.Prof.to_json} report and whose remaining lines are the
-    collapsed-stack ({!Sxsi_prof.Prof.to_folded}) output.  Front ends
-    that cannot afford to block a worker for the window (the event
-    loop) take their own snapshot up front and call this from a timer;
-    the threaded path just sleeps inside [handle]. *)
+    collapsed-stack ({!Sxsi_prof.Prof.to_folded}) output.  The event
+    loop cannot afford to block an executor for the window: it takes
+    its own snapshot up front and calls this from a timer.  The repl
+    ([sxsi repl]) just sleeps inside [handle]. *)
 
 val stats : t -> (string * string) list
 (** The same key=value pairs the [STATS] request reports. *)

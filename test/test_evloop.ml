@@ -7,7 +7,6 @@
 open Sxsi_evloop
 module Service = Sxsi_service.Service
 module Shards = Sxsi_service.Shards
-module Ev_server = Sxsi_service.Ev_server
 module Protocol = Sxsi_service.Protocol
 module Failpoint = Sxsi_qos.Failpoint
 
@@ -236,45 +235,10 @@ let small_doc tag n =
   Buffer.add_string buf ("</" ^ tag ^ ">");
   Sxsi_xml.Document.of_xml (Buffer.contents buf)
 
-let with_ev_server ?idle_ms ?sndbuf ?shards svc body =
-  let shards = match shards with Some sh -> sh | None -> Shards.of_service svc in
-  let stop = Atomic.make false in
-  let port = Atomic.make 0 in
-  let server =
-    Domain.spawn (fun () ->
-        Ev_server.serve ?idle_ms ?sndbuf ~port:0
-          ~on_listen:(fun p -> Atomic.set port p)
-          ~stop:(fun () -> Atomic.get stop)
-          shards)
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Atomic.set stop true;
-      Domain.join server)
-    (fun () ->
-      let deadline = Unix.gettimeofday () +. 5.0 in
-      while Atomic.get port = 0 && Unix.gettimeofday () < deadline do
-        Domain.cpu_relax ()
-      done;
-      Alcotest.(check bool) "server came up" true (Atomic.get port <> 0);
-      body (Atomic.get port))
-
-let connect port = Unix.open_connection (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
-
-let read_response ic =
-  match
-    Protocol.read_response (fun () ->
-        match input_line ic with
-        | line -> Some line
-        | exception End_of_file -> None)
-  with
-  | Ok r -> r
-  | Error e -> Alcotest.fail ("client read: " ^ e)
-
-let exchange ic oc line =
-  output_string oc (line ^ "\n");
-  flush oc;
-  read_response ic
+let with_server = Tcp_harness.with_server
+let connect = Tcp_harness.connect
+let read_response = Tcp_harness.read_response
+let exchange = Tcp_harness.exchange
 
 let stat_of_lines lines key =
   let prefix = key ^ "=" in
@@ -299,7 +263,7 @@ let proto_stat ic oc key =
 let test_pipelining_order () =
   let svc = Service.create () in
   Service.add_document svc "d" (small_doc "root" 7);
-  with_ev_server svc (fun port ->
+  with_server svc (fun port ->
       let ic, oc = connect port in
       Fun.protect
         ~finally:(fun () -> try Unix.shutdown_connection ic with _ -> ())
@@ -334,7 +298,7 @@ let test_partial_write_large_response () =
   let items = 3000 in
   let svc = Service.create () in
   Service.add_document svc "d" (small_doc "root" items);
-  with_ev_server ~sndbuf:4096 svc (fun port ->
+  with_server ~sndbuf:4096 svc (fun port ->
       let ic, oc = connect port in
       Fun.protect
         ~finally:(fun () -> try Unix.shutdown_connection ic with _ -> ())
@@ -369,7 +333,7 @@ let test_single_flight_stampede () =
   Fun.protect ~finally:Failpoint.deactivate_all (fun () ->
       let svc = Service.create () in
       Service.add_document svc "d" (small_doc "root" 9);
-      with_ev_server svc (fun port ->
+      with_server svc (fun port ->
           let clients = 64 in
           Failpoint.activate "engine.eval" (Failpoint.Delay_ms 500);
           let conns = Array.init clients (fun _ -> connect port) in
@@ -421,7 +385,7 @@ let test_single_flight_error_fanout () =
           ()
       in
       Service.add_document svc "d" (small_doc "root" 5);
-      with_ev_server svc (fun port ->
+      with_server svc (fun port ->
           let clients = 8 in
           Failpoint.activate "engine.eval" (Failpoint.Delay_ms 400);
           let conns = Array.init clients (fun _ -> connect port) in
@@ -460,7 +424,7 @@ let test_single_flight_error_fanout () =
 let test_idle_timeout () =
   let svc = Service.create () in
   Service.add_document svc "d" (small_doc "root" 3);
-  with_ev_server ~idle_ms:100 svc (fun port ->
+  with_server ~idle_ms:100 svc (fun port ->
       let ic, oc = connect port in
       Fun.protect
         ~finally:(fun () -> try Unix.shutdown_connection ic with _ -> ())
@@ -492,7 +456,7 @@ let test_ev_connection_churn () =
   let svc = Service.create () in
   Service.add_document svc "d" (small_doc "root" 10);
   let rounds = 100 in
-  with_ev_server svc (fun port ->
+  with_server svc (fun port ->
       let fds_before = count_fds () in
       for _ = 1 to rounds do
         let ic, oc = connect port in
@@ -534,13 +498,35 @@ let test_ev_connection_churn () =
         true
         (fds_after <= fds_before + 2))
 
+(* [serve] run on a spawned domain retires that domain's profiler
+   slot on return, as its executors retire theirs: a dead slot stays
+   in the sampled set and is charged as unattributed time. *)
+let test_serve_retires_slots () =
+  let module J = Sxsi_obs.Journal in
+  let svc = Service.create () in
+  Service.add_document svc "d" (small_doc "root" 3);
+  J.set_labels_enabled true;
+  Fun.protect
+    ~finally:(fun () -> J.set_labels_enabled false)
+    (fun () ->
+      let before = List.length (J.slot_paths ()) in
+      with_server svc (fun port ->
+          let ic, oc = connect port in
+          Fun.protect
+            ~finally:(fun () -> try Unix.shutdown_connection ic with _ -> ())
+            (fun () ->
+              match exchange ic oc "COUNT d //item" with
+              | Protocol.Ok [ "3" ] -> ()
+              | r -> Alcotest.fail ("count: " ^ Protocol.print_response r)));
+      Alcotest.(check int) "no slot left behind" before (List.length (J.slot_paths ())))
+
 (* Sharding: documents live on their home shard, queries route there,
    and STATS aggregates across shards. *)
 let test_shards_routing () =
   let sh = Shards.create ~shards:2 (fun _ -> Service.create ()) in
   Shards.add_document sh "a" (small_doc "root" 4);
   Shards.add_document sh "b" (small_doc "root" 6);
-  with_ev_server (Shards.primary sh) ~shards:sh (fun port ->
+  with_server (Shards.primary sh) ~shards:sh (fun port ->
       let ic, oc = connect port in
       Fun.protect
         ~finally:(fun () -> try Unix.shutdown_connection ic with _ -> ())
@@ -581,4 +567,5 @@ let suite =
       Alcotest.test_case "connection churn leaks no fds" `Quick
         test_ev_connection_churn;
       Alcotest.test_case "shards route and aggregate" `Quick test_shards_routing;
+      Alcotest.test_case "serve retires its profiler slots" `Quick test_serve_retires_slots;
     ] )

@@ -382,47 +382,9 @@ let test_concurrent_counts () =
 (* TCP front end                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Which TCP front end the e2e tests drive: the threaded server by
-   default, the event-driven one under SXSI_SERVE_MODE=evloop (the CI
-   matrix runs both).  Tests about threaded-only mechanics (the
-   accept-queue shed path) pin [~mode:`Threaded]. *)
-let serve_mode () =
-  match Sys.getenv_opt "SXSI_SERVE_MODE" with
-  | Some "evloop" -> `Evloop
-  | Some _ | None -> `Threaded
-
-(* Run [body port] against a live server, stopping and joining it
-   afterwards whatever happens.  [workers]/[queue] only apply to the
-   threaded front end. *)
-let with_server ?workers ?queue ?mode svc body =
-  let mode = match mode with Some m -> m | None -> serve_mode () in
-  let stop = Atomic.make false in
-  let port = Atomic.make 0 in
-  let server =
-    Domain.spawn (fun () ->
-        match mode with
-        | `Threaded ->
-          Server.serve ?workers ?queue ~port:0
-            ~on_listen:(fun p -> Atomic.set port p)
-            ~stop:(fun () -> Atomic.get stop)
-            svc
-        | `Evloop ->
-          Ev_server.serve ~port:0
-            ~on_listen:(fun p -> Atomic.set port p)
-            ~stop:(fun () -> Atomic.get stop)
-            (Shards.of_service svc))
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Atomic.set stop true;
-      Domain.join server)
-    (fun () ->
-      let deadline = Unix.gettimeofday () +. 5.0 in
-      while Atomic.get port = 0 && Unix.gettimeofday () < deadline do
-        Domain.cpu_relax ()
-      done;
-      Alcotest.(check bool) "server came up" true (Atomic.get port <> 0);
-      body (Atomic.get port))
+let with_server = Tcp_harness.with_server
+let connect = Tcp_harness.connect
+let exchange = Tcp_harness.exchange
 
 let test_tcp_server () =
   let svc = Service.create () in
@@ -433,20 +395,7 @@ let test_tcp_server () =
         let ic, oc = Unix.open_connection addr in
         Fun.protect
           ~finally:(fun () -> try Unix.shutdown_connection ic with _ -> ())
-          (fun () ->
-            List.map
-              (fun l ->
-                output_string oc (l ^ "\n");
-                flush oc;
-                match
-                  Protocol.read_response (fun () ->
-                      match input_line ic with
-                      | line -> Some line
-                      | exception End_of_file -> None)
-                with
-                | Ok r -> r
-                | Error e -> Alcotest.fail ("client read: " ^ e))
-              lines)
+          (fun () -> List.map (exchange ic oc) lines)
       in
       (match run_session [ "COUNT d //item"; "QUIT" ] with
       | [ Protocol.Ok [ "20" ]; Protocol.Ok [ "bye" ] ] -> ()
@@ -466,17 +415,14 @@ let test_tcp_server () =
           ("unexpected responses: "
           ^ String.concat " | " (List.map Protocol.print_response rs))))
 
-let connect port = Unix.open_connection (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
-
-(* Regression for the worker-reaping race of the domain-per-connection
-   server: cycle many short-lived connections and verify, once [serve]
-   has returned (joining its fixed workers), that every accepted session
-   also finished — no connection, and so no domain, leaked. *)
+(* Cycle many short-lived connections and verify, once [serve] has
+   returned (closing every live connection and joining its executor),
+   that every accepted session also finished — no connection leaked. *)
 let test_connection_churn () =
   let svc = Service.create () in
   Service.add_document svc "d" (small_doc "root" 10);
   let rounds = 40 in
-  with_server ~workers:2 ~queue:8 svc (fun port ->
+  with_server svc (fun port ->
       for _ = 1 to rounds do
         let ic, oc = connect port in
         Fun.protect
@@ -493,34 +439,26 @@ let test_connection_churn () =
             | Ok r -> Alcotest.fail ("unexpected: " ^ Protocol.print_response r)
             | Error e -> Alcotest.fail ("client read: " ^ e))
       done);
-  (* serve has returned: every worker is joined, so all sessions ended *)
+  (* serve has returned: every connection is closed, so all sessions ended *)
   let opened = int_of_string (stats_value svc "connections_opened") in
   let closed = int_of_string (stats_value svc "connections_closed") in
   Alcotest.(check int) "every connection accepted" rounds opened;
   Alcotest.(check int) "every session finished" opened closed;
   Alcotest.(check string) "nothing shed" "0" (stats_value svc "connections_shed")
 
+(* Load shedding: at the connection limit, a new connection is refused
+   with one protocol-shaped ERR line and closed, while the connection
+   already held is still served. *)
 let test_load_shedding () =
   let svc = Service.create () in
   Service.add_document svc "d" (small_doc "root" 5);
-  with_server ~workers:1 ~queue:1 ~mode:`Threaded svc (fun port ->
-      (* occupy the single worker; reading a response proves the worker
-         (not the accept loop) owns this session *)
+  with_server ~max_conns:1 svc (fun port ->
+      (* hold the one connection slot; reading a response proves the
+         loop accepted A *)
       let ic_a, oc_a = connect port in
       output_string oc_a "COUNT d //item\n";
       flush oc_a;
-      Alcotest.(check string) "worker busy with A" "OK 5" (input_line ic_a);
-      (* fill the one queue slot *)
-      let ic_b, oc_b = connect port in
-      (* wait until the accept loop has queued B *)
-      let deadline = Unix.gettimeofday () +. 5.0 in
-      while
-        (try int_of_string (stats_value svc "connections_opened") < 2
-         with _ -> true)
-        && Unix.gettimeofday () < deadline
-      do
-        Unix.sleepf 0.01
-      done;
+      Alcotest.(check string) "A served" "OK 5" (input_line ic_a);
       (* the next connection must be refused with a protocol error
          carrying the SHED code and a retry hint *)
       let ic_c, _oc_c = connect port in
@@ -537,11 +475,18 @@ let test_load_shedding () =
       Alcotest.(check bool) "shed closes the connection" true
         (match input_line ic_c with _ -> false | exception End_of_file -> true);
       (try Unix.shutdown_connection ic_c with _ -> ());
-      (* release the worker: A ends, B gets served from the queue *)
+      (* the held connection is still served *)
+      output_string oc_a "COUNT d //item\nQUIT\n";
+      flush oc_a;
+      Alcotest.(check string) "held connection still served" "OK 5" (input_line ic_a);
+      Alcotest.(check string) "held connection quits" "OK bye" (input_line ic_a);
       (try Unix.shutdown_connection ic_a with _ -> ());
+      (* A's QUIT closed it before the loop polls again, so the freed
+         slot admits B *)
+      let ic_b, oc_b = connect port in
       output_string oc_b "COUNT d //item\nQUIT\n";
       flush oc_b;
-      Alcotest.(check string) "queued connection served" "OK 5" (input_line ic_b);
+      Alcotest.(check string) "B served once A left" "OK 5" (input_line ic_b);
       try Unix.shutdown_connection ic_b with _ -> ());
   Alcotest.(check string) "shed counted" "1" (stats_value svc "connections_shed");
   let opened = int_of_string (stats_value svc "connections_opened") in
@@ -585,19 +530,6 @@ let test_service_domains () =
 module Failpoint = Sxsi_qos.Failpoint
 
 let with_clean_failpoints f = Fun.protect ~finally:Failpoint.deactivate_all f
-
-(* One request/response exchange on an open connection. *)
-let exchange ic oc line =
-  output_string oc (line ^ "\n");
-  flush oc;
-  match
-    Protocol.read_response (fun () ->
-        match input_line ic with
-        | line -> Some line
-        | exception End_of_file -> None)
-  with
-  | Ok r -> r
-  | Error e -> Alcotest.fail ("client read: " ^ e)
 
 let check_code label expected resp =
   Alcotest.(check (option string)) label (Some expected) (Protocol.err_code resp)
@@ -730,9 +662,9 @@ let test_deadline_session_override () =
 
 (* End to end: a server under a 50ms default deadline answers a
    pathological (failpoint-delayed) query with ERR DEADLINE promptly —
-   the delay is 75ms, so ~1.5x the deadline — and the single worker is
-   reused for a healthy request afterwards. *)
-let test_e2e_deadline_prompt_and_worker_reused () =
+   the delay is 75ms, so ~1.5x the deadline — and the one shard
+   executor is reused for a healthy request afterwards. *)
+let test_e2e_deadline_prompt_and_executor_reused () =
   with_clean_failpoints (fun () ->
       let svc =
         Service.create
@@ -741,7 +673,7 @@ let test_e2e_deadline_prompt_and_worker_reused () =
       in
       Service.add_document svc "d" (small_doc "root" 5);
       Failpoint.activate "engine.eval" (Failpoint.Delay_ms 75);
-      with_server ~workers:1 svc (fun port ->
+      with_server svc (fun port ->
           let ic, oc = connect port in
           Fun.protect
             ~finally:(fun () -> try Unix.shutdown_connection ic with _ -> ())
@@ -756,8 +688,8 @@ let test_e2e_deadline_prompt_and_worker_reused () =
                 (Printf.sprintf "answered promptly (%.0fms)" (dt *. 1000.))
                 true (dt < 1.0);
               ignore (exchange ic oc "QUIT"));
-          (* the worker survives the deadline and serves the next
-             connection (workers=1: this is the same worker) *)
+          (* the executor survives the deadline and serves the next
+             connection (one shard: this is the same executor) *)
           Failpoint.deactivate_all ();
           let ic, oc = connect port in
           Fun.protect
@@ -765,7 +697,7 @@ let test_e2e_deadline_prompt_and_worker_reused () =
             (fun () ->
               (match exchange ic oc "COUNT d //item" with
               | Protocol.Ok [ "5" ] -> ()
-              | r -> Alcotest.fail ("worker not reusable: " ^ Protocol.print_response r));
+              | r -> Alcotest.fail ("executor not reusable: " ^ Protocol.print_response r));
               ignore (exchange ic oc "QUIT"))))
 
 (* ------------------------------------------------------------------ *)
@@ -905,8 +837,8 @@ let suite =
         test_err_injected_and_toolong;
       Alcotest.test_case "DEADLINE session override" `Quick
         test_deadline_session_override;
-      Alcotest.test_case "e2e: prompt deadline, worker reused" `Quick
-        test_e2e_deadline_prompt_and_worker_reused;
+      Alcotest.test_case "e2e: prompt deadline, executor reused" `Quick
+        test_e2e_deadline_prompt_and_executor_reused;
       Alcotest.test_case "DUMP verb returns the journal" `Quick test_dump_verb;
       Alcotest.test_case "slow-query log end to end" `Quick test_slow_log;
     ] )
